@@ -26,6 +26,7 @@ import (
 	fe "jrpm/internal/frontend"
 	"jrpm/internal/mem"
 	"jrpm/internal/obs"
+	"jrpm/internal/progen"
 	"jrpm/internal/report"
 	"jrpm/internal/tls"
 	"jrpm/internal/tracer"
@@ -57,6 +58,25 @@ func pipeline(b *testing.B, w *workloads.Workload, transformed bool, opts core.O
 		}
 	}
 	return res
+}
+
+// BenchmarkProgenPipeline runs core.Run over a fresh progen program per
+// iteration (seeds 1, 2, …; lowering off the timer): short programs whose
+// host time goes to machine set-up, JIT, CFG analysis and the analyzer as
+// much as to simulation. EXPERIMENTS.md profiles it.
+func BenchmarkProgenPipeline(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		_, bp, err := progen.Lower(progen.Generate(int64(i+1), progen.DefaultConfig()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := core.Run(bp, core.DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkParallelSuite runs the whole Table 3 suite through the parallel

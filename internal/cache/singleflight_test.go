@@ -38,11 +38,17 @@ func TestCoalescingRace(t *testing.T) {
 			results[i], errs[i] = val, err
 		}(i)
 	}
-	// Wait until one flight is in progress, then let it finish. Callers that
-	// arrive after close(release) may start fresh flights, so releasing only
-	// after all 128 goroutines have launched keeps the count meaningful: we
-	// poll the execution counter, then release.
-	for executions.Load() == 0 {
+	// Let the flight finish only once all 128 callers are inside Do: each
+	// has either started a flight or joined one, as the group's own
+	// counters record. Callers that arrive after close(release) may start
+	// fresh flights, so releasing any earlier — on a slow scheduler, while
+	// most callers have not started or are still queued on the group's
+	// lock — would leave the count meaningless.
+	entered := func() int64 {
+		return reg.Counter("jrpm_fleet_coalesce_executions_total").Value() +
+			reg.Counter("jrpm_fleet_coalesce_joined_total").Value()
+	}
+	for entered() < callers || executions.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

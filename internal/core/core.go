@@ -594,9 +594,9 @@ func execute(bp *bytecode.Program, img *hydra.Image, opts Options, profile, spec
 			err = cerr
 		}
 	}
-	// Everything the caller needs is extracted; recycle the machine's big
-	// pooled allocations (simulated memory, tracer timestamp slabs). The
-	// returned tracer's loop statistics remain valid after release.
+	// Everything the caller needs is extracted; return the machine's
+	// hardware to the free list. The returned tracer's loop statistics
+	// remain valid after release.
 	tr := m.Tracer
 	m.Release()
 	return ph, tr, err

@@ -22,16 +22,25 @@ import (
 // a middle and the latest checkpoint, spanning both the seq and tls
 // stages when present); JRPM_CKPT_EXHAUSTIVE=1 resumes from every captured
 // safepoint.
+//
+// Every checkpoint carries a deep copy of simulated memory (16 MiB of low
+// span once the heap is in use), so the default mode never holds more than
+// the three it resumes from: a first capture run counts the safepoints, and
+// a second, identical one keeps the sampled ones. At most
+// ckptConformanceParallel workloads run at once, whatever -parallel says.
 func TestCheckpointConformance(t *testing.T) {
 	exhaustive := os.Getenv("JRPM_CKPT_EXHAUSTIVE") == "1"
 	ws := workloads.All()
 	if testing.Short() {
 		ws = ws[:8]
 	}
+	slots := make(chan struct{}, ckptConformanceParallel)
 	for _, w := range ws {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
+			slots <- struct{}{}
+			defer func() { <-slots }()
 			opts := core.DefaultOptions()
 			if w.HeapWords > 0 {
 				opts.VM.HeapWords = w.HeapWords
@@ -42,32 +51,42 @@ func TestCheckpointConformance(t *testing.T) {
 			}
 			refWire := codec.EncodeResult(ref)
 
-			// Capture run: re-arm at every delivery so a snapshot fires at
+			// Capture runs: re-arm at every delivery so a snapshot fires at
 			// every safepoint edge; a small stride gives resume points even
-			// in the shortest Table 3 kernels.
-			var cps []*core.Checkpoint
-			cc := &core.CheckpointController{Stride: 2048}
-			cc.OnCheckpoint = func(cp *core.Checkpoint, seq int64) {
-				cps = append(cps, cp)
+			// in the shortest Table 3 kernels. keep selects which of the
+			// delivered checkpoints (numbered from 1) to retain.
+			capture := func(keep func(seq int64) bool) (n int64, kept []*core.Checkpoint) {
+				cc := &core.CheckpointController{Stride: 2048}
+				cc.OnCheckpoint = func(cp *core.Checkpoint, seq int64) {
+					n = seq
+					if keep(seq) {
+						kept = append(kept, cp)
+					}
+					cc.Request()
+				}
+				copts := opts
+				copts.Checkpoint = cc
 				cc.Request()
+				capRes, err := core.Run(w.Build(), copts)
+				if err != nil {
+					t.Fatalf("capture run: %v", err)
+				}
+				if !bytes.Equal(codec.EncodeResult(capRes), refWire) {
+					t.Fatalf("checkpointing perturbed the run: wire bytes differ from straight run")
+				}
+				return n, kept
 			}
-			copts := opts
-			copts.Checkpoint = cc
-			cc.Request()
-			capRes, err := core.Run(w.Build(), copts)
-			if err != nil {
-				t.Fatalf("capture run: %v", err)
-			}
-			if !bytes.Equal(codec.EncodeResult(capRes), refWire) {
-				t.Fatalf("checkpointing perturbed the run: wire bytes differ from straight run")
-			}
-			if len(cps) == 0 {
+			n, sample := capture(func(int64) bool { return exhaustive })
+			if n == 0 {
 				t.Fatalf("no checkpoints captured")
 			}
-
-			sample := cps
-			if !exhaustive && len(cps) > 3 {
-				sample = []*core.Checkpoint{cps[0], cps[len(cps)/2], cps[len(cps)-1]}
+			if !exhaustive {
+				want := map[int64]bool{1: true, n/2 + 1: true, n: true}
+				var again int64
+				again, sample = capture(func(seq int64) bool { return want[seq] })
+				if again != n {
+					t.Fatalf("capture runs disagree: %d then %d checkpoints", n, again)
+				}
 			}
 			for i, cp := range sample {
 				res, err := core.ResumeTLS(w.Build(), opts, cp)
@@ -93,6 +112,11 @@ func TestCheckpointConformance(t *testing.T) {
 		})
 	}
 }
+
+// ckptConformanceParallel bounds how many TestCheckpointConformance
+// workloads run at once (each holds up to three checkpoints plus the
+// machines of a resumed pipeline).
+const ckptConformanceParallel = 2
 
 // TestCheckpointStageCoverage asserts the capture machinery sees both
 // pipeline stages on at least one workload — a conformance suite that only

@@ -109,19 +109,6 @@ type Runtime interface {
 	MonitorExit(m *Machine, cpu int, ref int64)
 }
 
-// HeapZeroer is an optional Runtime capability: implementations whose
-// allocators zero every word of every block (including any carve slack)
-// before handing it out, and whose collectors read heap words only inside
-// allocated blocks or maintained free-list headers. A machine running such a
-// runtime never observes an uninitialized heap word, so its simulated memory
-// can be recycled without re-zeroing the heap span — by far the largest part
-// of the release-time memclr cost.
-type HeapZeroer interface {
-	// ZeroesHeap reports that no heap word is read before the runtime
-	// initializes it.
-	ZeroesHeap() bool
-}
-
 // AddrClass tags runtime memory traffic so the TEST analysis can separate
 // VM-internal dependencies (allocator free lists, object lock words) that
 // the VM modifications of §5.2/§5.3 remove during speculation.

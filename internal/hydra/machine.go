@@ -174,9 +174,10 @@ type Machine struct {
 	halted bool
 	err    error
 	booted bool // Boot ran or a snapshot was restored; Run must not re-Boot
-	// heapLazy: the runtime implements HeapZeroer, so Release can return
-	// the simulated memory with the heap span left stale.
-	heapLazy bool
+
+	// hw is the recycled hardware behind Mem, Caches, TLS, the tracer's
+	// slabs and t2; Release returns it to the free list.
+	hw *hardware
 
 	inj        *faultinject.Injector
 	Guard      *tls.Guard
@@ -243,25 +244,16 @@ func NewMachine(img *Image, rt Runtime, opts Options) *Machine {
 		tlsCfg = *opts.TLS
 		tlsCfg.NCPU = opts.NCPU
 	}
-	// A runtime that zeroes every allocated block lets the pooled memory
-	// skip re-zeroing the heap span on release/reuse (the dominant memclr
-	// cost of a pipeline run); everyone else gets the all-zero guarantee.
-	simMem := mem.NewPooledMemory
-	heapLazy := false
-	if hz, ok := rt.(HeapZeroer); ok && hz.ZeroesHeap() {
-		heapLazy = true
-		simMem = func(size int, split mem.Addr) *mem.Memory {
-			return mem.NewPooledMemoryStale(size, split, HeapBase)
-		}
-	}
+	hw := acquireHardware(cacheCfg, tlsCfg, opts.Profile)
 	m := &Machine{
 		Image:         img,
-		Mem:           simMem(MemWords, StackRegionBase),
-		Caches:        mem.NewCacheSim(cacheCfg),
+		Mem:           hw.mem,
+		Caches:        hw.caches,
+		TLS:           hw.tls,
 		Runtime:       rt,
 		OverflowBySTL: map[int64]int64{},
+		hw:            hw,
 		rec:           opts.Recorder,
-		heapLazy:      heapLazy,
 		latL2:         cacheCfg.LatL2,
 		latMem:        cacheCfg.LatMem,
 		latInter:      cacheCfg.LatInter,
@@ -273,9 +265,8 @@ func NewMachine(img *Image, rt Runtime, opts Options) *Machine {
 		}
 	}
 	if !opts.Tier2Off && opts.Recorder == nil && opts.Faults == nil {
-		m.t2 = t2acquire()
+		m.t2 = hw.t2
 	}
-	m.TLS = tls.NewUnit(tlsCfg, m.Mem, m.Caches)
 	if opts.Ledger != nil {
 		m.led = opts.Ledger
 		m.led.SetSymbolizer(m.symbolizeAddr)
@@ -313,7 +304,8 @@ func NewMachine(img *Image, rt Runtime, opts Options) *Machine {
 		tcfg.StoreBufferLines = tlsCfg.StoreBufferLines
 		tcfg.LoadBufferLines = tlsCfg.LoadBufferLines
 		tcfg.MemWords = MemWords
-		m.Tracer = tracer.New(tcfg)
+		m.Tracer = tracer.NewOn(tcfg, hw.slabs)
+		hw.slabs = nil
 	}
 	for i := 0; i < opts.NCPU; i++ {
 		m.CPUs = append(m.CPUs, &CPU{ID: i, state: stateIdle})
@@ -321,26 +313,22 @@ func NewMachine(img *Image, rt Runtime, opts Options) *Machine {
 	return m
 }
 
-// Release returns the machine's pooled resources — the simulated memory and
-// the tracer's flat timestamp tables — for reuse by the next machine. Results
+// Release returns the machine's hardware — simulated memory, cache tags,
+// speculation buffers, tracer slabs and tier-2 block cache — to the free
+// list for the next machine of its geometry (see hardware.go). Results
 // already extracted (cycle counts, outputs, tracer loop statistics) stay
-// valid; the machine itself must not run or be read afterwards.
+// valid; the machine itself must not run or be read afterwards. Releasing
+// twice is a no-op.
 func (m *Machine) Release() {
+	hw := m.hw
+	if hw == nil {
+		return
+	}
 	if m.Tracer != nil {
-		m.Tracer.Release()
+		hw.slabs = m.Tracer.Release()
 	}
-	if m.Mem != nil {
-		if m.heapLazy {
-			m.Mem.ReleaseKeepStale(HeapBase)
-		} else {
-			m.Mem.Release()
-		}
-		m.Mem = nil
-	}
-	if m.t2 != nil {
-		m.t2.release()
-		m.t2 = nil
-	}
+	m.hw, m.Mem, m.Caches, m.TLS, m.t2 = nil, nil, nil, nil, nil
+	releaseHardware(hw)
 }
 
 // Boot prepares CPU 0 at the program entry point.

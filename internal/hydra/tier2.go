@@ -2,7 +2,6 @@ package hydra
 
 import (
 	"fmt"
-	"sync"
 
 	"jrpm/internal/isa"
 	"jrpm/internal/tls"
@@ -169,7 +168,7 @@ type t2block struct {
 	succPC [2]int32
 }
 
-// t2method is the per-method block cache, generation-stamped so a pooled
+// t2method is the per-method block cache, generation-stamped so a recycled
 // tier2 can be reused across machines without clearing.
 type t2method struct {
 	gen    uint64
@@ -177,9 +176,10 @@ type t2method struct {
 }
 
 // tier2 is the per-machine block cache and compile arena. Blocks and op
-// arrays are bump-allocated from chunked slabs whose storage survives in a
-// sync.Pool across machines, so steady-state runs compile into warm memory
-// and the dispatch loop allocates nothing.
+// arrays are bump-allocated from chunked slabs whose storage travels with
+// the machine's hardware through the free list (see hardware.go), so
+// steady-state runs compile into warm memory and the dispatch loop
+// allocates nothing.
 type tier2 struct {
 	gen       uint64
 	methods   []t2method
@@ -195,13 +195,13 @@ const (
 	t2BlkChunk = 512
 )
 
-var t2Pool = sync.Pool{New: func() any { return new(tier2) }}
+// newTier2 returns an empty engine. Its generation starts at 1 so that the
+// zero-stamped method slots lookup grows are stale.
+func newTier2() *tier2 { return &tier2{gen: 1} }
 
-// t2acquire takes a tier2 from the pool and starts a fresh generation: all
-// cached blocks become stale by stamp, slab cursors rewind, and the warm
-// chunk storage is reused in place.
-func t2acquire() *tier2 {
-	t := t2Pool.Get().(*tier2)
+// reset starts a fresh generation: all cached blocks become stale by
+// stamp, slab cursors rewind, and the warm chunk storage is reused in place.
+func (t *tier2) reset() {
 	t.gen++
 	t.opCur, t.blkCur = 0, 0
 	for i := range t.opChunks {
@@ -210,10 +210,7 @@ func t2acquire() *tier2 {
 	for i := range t.blkChunks {
 		t.blkChunks[i] = t.blkChunks[i][:0]
 	}
-	return t
 }
-
-func (t *tier2) release() { t2Pool.Put(t) }
 
 // allocBlock bump-allocates one block struct. Chunks are never reallocated
 // once created, so returned pointers stay valid for the generation.
@@ -555,8 +552,7 @@ type BlockInfo struct {
 // demand at executed pcs, so a branch into the middle of a listed block
 // simply starts another (overlapping) block there.
 func BlockLayout(img *Image, methodID int) []BlockInfo {
-	t := t2acquire()
-	defer t.release()
+	t := newTier2()
 	code := img.Method(methodID).Code
 	var out []BlockInfo
 	for pc := 0; pc < len(code); {

@@ -37,17 +37,20 @@ func (lw *lowerer) flushCanonical() {
 		return
 	}
 
-	// Phase 1: the register-to-register parallel move for displaced temps.
-	moves := map[isa.Reg]isa.Reg{} // target <- source
+	// Phase 1: the register-to-register parallel move for displaced temps,
+	// resolved in stack (target register) order so the emitted code is a
+	// function of the program alone.
+	type move struct{ tgt, src isa.Reg }
+	var moves []move
 	for i, v := range lw.stack {
 		want := isa.T0 + isa.Reg(i)
 		if v.kind == vTemp && v.reg != want {
-			moves[want] = v.reg
+			moves = append(moves, move{want, v.reg})
 		}
 	}
 	isSource := func(r isa.Reg) bool {
-		for _, src := range moves {
-			if src == r {
+		for _, mv := range moves {
+			if mv.src == r {
 				return true
 			}
 		}
@@ -55,20 +58,19 @@ func (lw *lowerer) flushCanonical() {
 	}
 	for len(moves) > 0 {
 		progress := false
-		for tgt, src := range moves {
-			if !isSource(tgt) {
-				lw.b.Move(tgt, src)
-				delete(moves, tgt)
+		for i := 0; i < len(moves); {
+			if mv := moves[i]; !isSource(mv.tgt) {
+				lw.b.Move(mv.tgt, mv.src)
+				moves = append(moves[:i], moves[i+1:]...)
 				progress = true
+				continue
 			}
+			i++
 		}
 		if !progress {
-			// Pure cycle: route one element through $at.
-			for tgt, src := range moves {
-				lw.b.Move(isa.AT, src)
-				moves[tgt] = isa.AT
-				break
-			}
+			// Pure cycle: route the lowest target's source through $at.
+			lw.b.Move(isa.AT, moves[0].src)
+			moves[0].src = isa.AT
 		}
 	}
 

@@ -15,6 +15,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -60,129 +61,69 @@ const (
 // Line returns the cache line index containing a.
 func Line(a Addr) Addr { return a / LineWords }
 
-// Memory is the flat simulated memory. It tracks dirty watermarks on either
-// side of a split point (the low region fills bottom-up — globals and heap —
-// while the high region is the runtime stack filling top-down), so a pooled
-// memory can be re-zeroed by clearing only the touched ranges instead of the
-// whole multi-megabyte array.
+// Memory is the flat simulated memory. Like the hardware's DRAM it is
+// fixed storage that outlives one program: a dirty flag per 4 KiB page
+// records which words a run wrote, so Reset returns the memory to the all-zero
+// state of a new one in time proportional to what the run touched. The
+// watermarks on either side of a split point (the low region holds globals
+// and heap, the high region the runtime stack filling top-down) bound the
+// spans a snapshot captures.
 type Memory struct {
 	words []int64
-	split Addr // boundary between the low and high dirty regions
-	loMax Addr // exclusive top of the dirty low region
-	hiMin Addr // inclusive bottom of the dirty high region
-
-	// staleLo marks the bottom of a region released without re-zeroing
-	// (see ReleaseKeepStale): words in [staleLo, loMax) may hold data from
-	// a previous owner. Addr(len(words)) — the usual case — means none.
-	staleLo Addr
+	dirty []byte // one flag per page of pageWords words, set by every write
+	split Addr   // boundary between the low and high dirty regions
+	loMax Addr   // exclusive top of the dirty low region
+	hiMin Addr   // inclusive bottom of the dirty high region
 }
 
-// NewMemory returns a memory of size words.
-func NewMemory(size int) *Memory {
-	return &Memory{words: make([]int64, size), split: Addr(size), hiMin: Addr(size), staleLo: Addr(size)}
+// pageShift sizes the dirty-tracking pages: 512 words, 4 KiB.
+const (
+	pageShift = 9
+	pageWords = 1 << pageShift
+)
+
+// NewMemory returns a zeroed memory of size words.
+func NewMemory(size int) *Memory { return NewSplitMemory(size, Addr(size)) }
+
+// NewSplitMemory returns a zeroed memory of size words whose snapshot spans
+// divide at split (typically the base of the stack region).
+func NewSplitMemory(size int, split Addr) *Memory {
+	return &Memory{
+		words: make([]int64, size),
+		dirty: make([]byte, (size+pageWords-1)>>pageShift),
+		split: split,
+		hiMin: Addr(size),
+	}
 }
 
-// memFree recycles simulated memories between machine instances; a zeroed
-// 33 MB array is the single largest allocation-and-memclr cost of a pipeline
-// run, and the dirty watermarks make re-zeroing proportional to actual use.
-// A bounded channel rather than a sync.Pool: the garbage collector empties a
-// sync.Pool at every cycle, and with multi-megabyte arrays the refill cost
-// (a fresh zeroed allocation per machine) dominated pipeline profiles.
-var memFree = make(chan *Memory, 4)
-
-// NewPooledMemory returns a zeroed memory of size words, reusing a released
-// one when the geometry matches. split is the low/high dirty-region boundary
-// (typically the base of the stack region).
-func NewPooledMemory(size int, split Addr) *Memory {
-	if m := reclaim(size, split); m != nil {
-		// A lazily released memory may carry a stale span; this entry
-		// point guarantees all-zero contents.
-		if m.staleLo < m.loMax {
-			clear(m.words[m.staleLo:m.loMax])
+// Reset zeroes every page written since the memory was built or last reset
+// and rewinds the watermarks. Afterwards the memory is indistinguishable
+// from a new one of the same geometry.
+func (m *Memory) Reset() {
+	for p := 0; p < len(m.dirty); {
+		i := bytes.IndexByte(m.dirty[p:], 1)
+		if i < 0 {
+			break
 		}
-		m.loMax = 0
-		m.staleLo = Addr(size)
-		return m
-	}
-	m := NewMemory(size)
-	m.split = split
-	return m
-}
-
-// NewPooledMemoryStale is NewPooledMemory for an owner that re-initializes
-// every word of [staleLo, split) before reading it (a VM whose allocator
-// zeroes each block it hands out). Words in that window may hold data from a
-// previous owner; everything outside it is zero.
-func NewPooledMemoryStale(size int, split, staleLo Addr) *Memory {
-	if m := reclaim(size, split); m != nil {
-		if m.staleLo < staleLo {
-			// The previous owner's stale span starts below what this
-			// owner tolerates: scrub the difference.
-			top := m.loMax
-			if staleLo < top {
-				top = staleLo
-			}
-			clear(m.words[m.staleLo:top])
+		p += i
+		// Clear the run of consecutive dirty pages with one memclr.
+		q := p
+		for q < len(m.dirty) && m.dirty[q] != 0 {
+			m.dirty[q] = 0
+			q++
 		}
-		m.staleLo = staleLo
-		return m
+		clear(m.words[p<<pageShift : min(q<<pageShift, len(m.words))])
+		p = q
 	}
-	m := NewMemory(size)
-	m.split = split
-	m.staleLo = staleLo
-	return m
+	m.loMax, m.hiMin = 0, Addr(len(m.words))
 }
 
-// reclaim pops a recycled memory with matching geometry, or returns nil.
-func reclaim(size int, split Addr) *Memory {
-	select {
-	case m := <-memFree:
-		if len(m.words) == size && m.split == split {
-			return m
+// markDirty flags the pages of [lo, hi) as written.
+func (m *Memory) markDirty(lo, hi Addr) {
+	if lo < hi {
+		for p := lo >> pageShift; p <= (hi-1)>>pageShift; p++ {
+			m.dirty[p] = 1
 		}
-		// Geometry mismatch (custom-size test memories): drop it and let
-		// the collector take it.
-	default:
-	}
-	return nil
-}
-
-// Release re-zeroes the dirty ranges and returns the memory to the free
-// list. The caller must not touch it afterwards.
-func (m *Memory) Release() {
-	m.ReleaseKeepStale(Addr(len(m.words)))
-}
-
-// ReleaseKeepStale is Release except that dirty words at or above keep in
-// the low region are returned to the free list as-is, not re-zeroed. The
-// skipped span is recorded so a later strict NewPooledMemory can scrub it;
-// NewPooledMemoryStale hands it out untouched. A VM whose allocator zeroes
-// every block before use never reads a heap word it did not initialize, so
-// skipping the heap span turns the release-time memclr bill — megawords per
-// pipeline leg — into the few kilowords of globals and stack that actually
-// need it.
-func (m *Memory) ReleaseKeepStale(keep Addr) {
-	// The possibly-nonzero low span is [0, loMax): loMax bounds this
-	// owner's writes, and any stale span inherited at acquisition sits
-	// below it too.
-	lo := m.loMax
-	if keep < lo {
-		lo = keep
-	}
-	clear(m.words[:lo])
-	clear(m.words[m.hiMin:])
-	m.hiMin = Addr(len(m.words))
-	if keep >= m.loMax {
-		m.loMax = 0
-		m.staleLo = Addr(len(m.words))
-	} else {
-		// loMax keeps bounding the possibly-nonzero span for the next
-		// owner; only [keep, loMax) survives unzeroed.
-		m.staleLo = keep
-	}
-	select {
-	case memFree <- m:
-	default: // free list full; let the collector take it
 	}
 }
 
@@ -209,6 +150,7 @@ func (m *Memory) Write(a Addr, v int64) {
 		panic(&Fault{Addr: a, Size: len(m.words), Write: true})
 	}
 	m.words[a] = v
+	m.dirty[a>>pageShift] = 1
 	if a < m.split {
 		if a >= m.loMax {
 			m.loMax = a + 1
@@ -254,6 +196,7 @@ type setAssoc struct {
 	tags  []Addr   // sets*assoc entries; 0 means empty (line 0 is never cached: it is the null page)
 	lru   []uint32 // per-entry last-use stamp
 	clock uint32
+	dirty []byte // per set: written since the last reset
 }
 
 func newSetAssoc(lines, assoc int) *setAssoc {
@@ -271,7 +214,25 @@ func newSetAssoc(lines, assoc int) *setAssoc {
 		assoc: assoc,
 		tags:  make([]Addr, sets*assoc),
 		lru:   make([]uint32, sets*assoc),
+		dirty: make([]byte, sets),
 	}
+}
+
+// reset empties every set an access touched since the last reset, as the
+// hardware's flash clear of the tag RAM would.
+func (s *setAssoc) reset() {
+	for set := 0; set < s.sets; {
+		i := bytes.IndexByte(s.dirty[set:], 1)
+		if i < 0 {
+			break
+		}
+		set += i
+		s.dirty[set] = 0
+		clear(s.tags[set*s.assoc : (set+1)*s.assoc])
+		clear(s.lru[set*s.assoc : (set+1)*s.assoc])
+		set++
+	}
+	s.clock = 0
 }
 
 // setOf maps a line to its set: a mask when the geometry allows (the paper's
@@ -288,6 +249,7 @@ func (s *setAssoc) setOf(line Addr) int {
 func (s *setAssoc) access(line Addr, fill bool) bool {
 	s.clock++
 	set := s.setOf(line)
+	s.dirty[set] = 1
 	base := set * s.assoc
 	victim := base
 	for i := 0; i < s.assoc; i++ {
@@ -353,6 +315,17 @@ func NewCacheSim(cfg CacheConfig) *CacheSim {
 
 // Config returns the geometry the simulator was built with.
 func (cs *CacheSim) Config() CacheConfig { return cs.cfg }
+
+// Reset empties every cache and zeroes the counters, leaving the simulator
+// indistinguishable from a new one built for the same configuration. It
+// costs time proportional to the sets the last run touched.
+func (cs *CacheSim) Reset() {
+	for _, l1 := range cs.l1 {
+		l1.reset()
+	}
+	cs.l2.reset()
+	cs.L1Hits, cs.L1Misses, cs.L2Hits, cs.L2Misses = 0, 0, 0, 0
+}
 
 // Load charges the latency of a load by cpu from address a and updates tag
 // state (L1 and L2 fills on miss).

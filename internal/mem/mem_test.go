@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -119,5 +120,36 @@ func TestCachePropertyRepeatHit(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Reset returns a used memory and cache hierarchy to exactly the state of
+// new ones: every word zero, the watermarks rewound, every tag and LRU stamp
+// cleared and the counters zeroed, so their snapshots are equal.
+func TestResetEqualsNew(t *testing.T) {
+	const size, split = 1 << 16, 1 << 15
+	m := NewSplitMemory(size, split)
+	for a := Addr(7); a < size; a += 613 {
+		m.Write(a, int64(a)+1)
+	}
+	m.Reset()
+	for a := Addr(0); a < size; a++ {
+		if v := m.Read(a); v != 0 {
+			t.Fatalf("word %d = %d after Reset", a, v)
+		}
+	}
+	if got, want := m.CaptureState(), NewSplitMemory(size, split).CaptureState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset memory captures %+v, a new one %+v", got, want)
+	}
+
+	cfg := DefaultCacheConfig(2)
+	cs := NewCacheSim(cfg)
+	for a := Addr(4); a < 1<<20; a += 4093 {
+		cs.Load(int(a)%2, a)
+		cs.Store(int(a+1)%2, a+8)
+	}
+	cs.Reset()
+	if got, want := cs.CaptureState(), NewCacheSim(cfg).CaptureState(); !reflect.DeepEqual(got, want) {
+		t.Fatal("reset cache hierarchy differs from a new one")
 	}
 }

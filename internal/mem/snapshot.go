@@ -4,10 +4,10 @@ import "fmt"
 
 // State is a deterministic capture of a Memory's observable contents: the
 // dirty-watermark spans on either side of the split, copied verbatim. Words
-// outside the spans are zero in any freshly pooled memory, and words inside
-// the low span that were never written by the owner are — by the HeapZeroer
-// discipline — never read, so restoring the spans reproduces every read the
-// resumed run can perform.
+// outside the spans are zero, and a memory starts all-zero whether it is
+// new or reset (Reset clears every page the previous run wrote), so a
+// capture is a function of the run alone, never of what the memory served
+// before.
 type State struct {
 	Size  int
 	Split Addr
@@ -32,10 +32,10 @@ func (m *Memory) CaptureState() State {
 }
 
 // RestoreState writes a captured State back into the memory. The target
-// must have the same geometry (size and split) and should be freshly
-// acquired: only zero or stale-but-unreadable words may sit outside its
-// watermarks. The low watermark is widened, never narrowed, so any stale
-// span inherited from the pool stays bounded for release-time scrubbing.
+// must have the same geometry (size and split) and should be new or reset:
+// only zero words, or words the target's runtime wrote before the restore,
+// may sit outside its watermarks. The low watermark is widened, never
+// narrowed, so it keeps bounding everything the target wrote.
 func (m *Memory) RestoreState(st State) error {
 	if st.Size != len(m.words) || st.Split != m.split {
 		return fmt.Errorf("mem: restore geometry mismatch: snapshot %d/%d words split %d/%d",
@@ -49,6 +49,8 @@ func (m *Memory) RestoreState(st State) error {
 	}
 	copy(m.words[:st.LoMax], st.Low)
 	copy(m.words[st.HiMin:], st.High)
+	m.markDirty(0, st.LoMax)
+	m.markDirty(st.HiMin, Addr(st.Size))
 	// Zero anything the target dirtied above the snapshot's high watermark
 	// (a booted-but-unrestored machine could have touched stack words).
 	if m.hiMin < st.HiMin {
@@ -86,6 +88,9 @@ func (s *setAssoc) restoreState(st SetState) error {
 	copy(s.tags, st.Tags)
 	copy(s.lru, st.LRU)
 	s.clock = st.Clock
+	for set := range s.dirty {
+		s.dirty[set] = 1
+	}
 	return nil
 }
 

@@ -199,6 +199,19 @@ func NewUnit(cfg Config, memory *mem.Memory, caches *mem.CacheSim) *Unit {
 	return u
 }
 
+// Reset returns the unit to the state NewUnit builds for cfg over the same
+// memory and caches, keeping its buffers as the hardware keeps its RAM.
+// cfg must have the shape the unit was built with: the same NCPU,
+// StoreBufferLines and LoadBufferLines (handler costs may differ). The
+// buffers clear by generation bump.
+func (u *Unit) Reset(cfg Config) {
+	*u = Unit{cfg: cfg, memory: u.memory, caches: u.caches, hardCap: u.hardCap, threads: u.threads}
+	for _, t := range u.threads {
+		t.resetSpecState()
+		*t = thread{iter: -1, buf: t.buf, readWords: t.readWords, readLines: t.readLines}
+	}
+}
+
 // Config returns the unit's configuration.
 func (u *Unit) Config() Config { return u.cfg }
 

@@ -11,12 +11,13 @@
 //     generation-stamped open-addressed CAMs.
 //
 // Every entry is generation-tagged, so "clearing" a table between profiling
-// runs is a single counter bump, and the two large flat tables are recycled
-// through a sync.Pool — a fresh Tracer costs neither a 33 MB allocation nor
-// a 33 MB memclr. Nothing on the per-access record path allocates.
+// runs is a single counter bump. The tables are fixed RAM in the hardware:
+// Slabs carries them from a released tracer to the next one, so a new
+// Tracer costs neither a 42 MB allocation nor its memclr. Nothing on the
+// per-access record path allocates.
 package tracer
 
-import "sync"
+import "jrpm/internal/mem"
 
 // PaperComparatorBanks is the number of TEST comparator banks (paper §3,
 // Figure 2): eight banks cover typical loop-nest depths. DefaultConfig and
@@ -25,7 +26,7 @@ const PaperComparatorBanks = 8
 
 // tsEntry layout: the top 24 bits hold the slab generation, the low 40 bits
 // the stored value. 2^40 cycles is far beyond any configured budget; a slab
-// is retired and reallocated before its generation counter can wrap.
+// is cleared physically before its generation counter can wrap.
 const (
 	tsValBits = 40
 	tsValMask = (1 << tsValBits) - 1
@@ -38,29 +39,48 @@ type tsSlab struct {
 	gen     uint64
 }
 
-// tsPool recycles the two big flat tables across Tracer instances. Slabs of
-// the wrong size (a non-default machine geometry) are simply not reused.
-var tsPool = sync.Pool{}
-
 func newSlab(size int) *tsSlab {
-	if v := tsPool.Get(); v != nil {
-		s := v.(*tsSlab)
-		if len(s.entries) == size {
-			s.gen++
-			if s.gen >= tsGenMax {
-				clear(s.entries)
-				s.gen = 1
-			}
-			return s
-		}
-	}
 	return &tsSlab{entries: make([]uint64, size), gen: 1}
 }
 
-func (s *tsSlab) release() {
-	if s != nil {
-		tsPool.Put(s)
+// reset empties the slab by generation bump, physically clearing it only
+// when the generation counter would wrap.
+func (s *tsSlab) reset() {
+	s.gen++
+	if s.gen >= tsGenMax {
+		clear(s.entries)
+		s.gen = 1
 	}
+}
+
+// Slabs is the storage a tracer records into: the flat store and line
+// timestamp slabs and the local-variable CAM. A released tracer hands it on
+// (see Tracer.Release), and the next tracer clears it by generation bump.
+type Slabs struct {
+	storeTS *tsSlab
+	lineTS  *tsSlab
+	localTS *localCAM
+}
+
+// newSlabs allocates tracer storage for a memory of memWords words.
+func newSlabs(memWords int) *Slabs {
+	return &Slabs{
+		storeTS: newSlab(memWords),
+		lineTS:  newSlab(memWords/mem.LineWords + 1),
+		localTS: newLocalCAM(1 << 12),
+	}
+}
+
+// fits reports whether s is sized for a memory of memWords words.
+func (s *Slabs) fits(memWords int) bool {
+	return len(s.storeTS.entries) == memWords && len(s.lineTS.entries) == memWords/mem.LineWords+1
+}
+
+// reset empties all three tables by generation bump.
+func (s *Slabs) reset() {
+	s.storeTS.reset()
+	s.lineTS.reset()
+	s.localTS.reset()
 }
 
 // setRaw stores v (absent ≡ 0 semantics: a stored zero is indistinguishable
@@ -117,6 +137,15 @@ func newLocalCAM(capacity int) *localCAM {
 		gen:    make([]uint32, size),
 		vals:   make([]int64, size),
 		curGen: 1,
+	}
+}
+
+func (c *localCAM) reset() {
+	c.n = 0
+	c.curGen++
+	if c.curGen == 0 {
+		clear(c.gen)
+		c.curGen = 1
 	}
 }
 

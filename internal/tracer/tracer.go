@@ -253,6 +253,7 @@ type Tracer struct {
 	storeTS *tsSlab   // heap word → last store cycle (flat, word-indexed)
 	lineTS  *tsSlab   // cache line → last access cycle (flat, line-indexed)
 	localTS *localCAM // composite local key → last store cycle
+	slabs   *Slabs    // the storage above, handed on by Release
 
 	freeBanks []*bank // retired comparator banks, recycled on sloop
 
@@ -263,31 +264,38 @@ type Tracer struct {
 	AnnotationCount int64
 }
 
-// New returns an idle tracer.
-func New(cfg Config) *Tracer {
+// New returns an idle tracer with new storage.
+func New(cfg Config) *Tracer { return NewOn(cfg, nil) }
+
+// NewOn returns an idle tracer recording into s, which it clears first. A
+// nil s, or one sized for another memory, is replaced by new storage.
+func NewOn(cfg Config, s *Slabs) *Tracer {
 	if cfg.MemWords <= 0 {
 		cfg.MemWords = defaultMemWords
 	}
-	t := &Tracer{
+	if s == nil || !s.fits(cfg.MemWords) {
+		s = newSlabs(cfg.MemWords)
+	} else {
+		s.reset()
+	}
+	return &Tracer{
 		cfg:     cfg,
-		storeTS: newSlab(cfg.MemWords),
-		lineTS:  newSlab(cfg.MemWords/mem.LineWords + 1),
-		localTS: newLocalCAM(1 << 12),
+		banks:   make([]*bank, cfg.NumBanks),
+		storeTS: s.storeTS,
+		lineTS:  s.lineTS,
+		localTS: s.localTS,
+		slabs:   s,
 		loops:   make(map[int64]*LoopStats),
 	}
-	for i := 0; i < cfg.NumBanks; i++ {
-		t.banks = append(t.banks, nil)
-	}
-	return t
 }
 
-// Release returns the tracer's flat timestamp tables to the shared pool. The
-// accumulated loop statistics stay valid; the tracer must not observe any
-// further traffic.
-func (t *Tracer) Release() {
-	t.storeTS.release()
-	t.lineTS.release()
-	t.storeTS, t.lineTS = nil, nil
+// Release detaches the tracer's storage and returns it for the next tracer
+// (see NewOn). The accumulated loop statistics stay valid; the tracer must
+// not observe any further traffic.
+func (t *Tracer) Release() *Slabs {
+	s := t.slabs
+	t.storeTS, t.lineTS, t.localTS, t.slabs = nil, nil, nil, nil
+	return s
 }
 
 // Loops returns the accumulated per-loop statistics.

@@ -262,13 +262,6 @@ func (v *VM) carveBlock(m *hydra.Machine, cpu int, headAddr mem.Addr, want int64
 	return 0, false
 }
 
-// ZeroesHeap implements hydra.HeapZeroer: Alloc and AllocArray zero every
-// word of every block they register (fields, elements, and carve slack), and
-// the collector reads heap words only inside registered blocks or through
-// the free-list headers it maintains. The machine may therefore recycle its
-// simulated memory without re-zeroing the heap span.
-func (v *VM) ZeroesHeap() bool { return true }
-
 // MonitorEnter implements the synchronized lock (hydra.Runtime). The
 // speculation-aware version elides lock-word traffic during speculation:
 // TLS already guarantees the sequential ordering the lock would enforce.
