@@ -17,9 +17,19 @@ import (
 	"jrpm/internal/serve"
 )
 
-// migrationSource is a single long loop (~0.7s of wall time) so the drain
-// reliably lands while the job is mid-simulation with checkpoints banked.
+// migrationSource is a single long loop so the drain reliably lands while
+// the job is mid-simulation with checkpoints banked. The drain's checkpoint
+// sweep lets the job run on for up to 500 ms, so a loop that finishes
+// sooner lets the drained owner complete it instead of handing it off; on a
+// 2-vCPU x86 machine 2.5M iterations take about a second. Under the race
+// detector the same loop takes over 30 s, more than the tls rung's slice
+// (half of DefaultDeadline), and the migrated job would degrade instead of
+// resuming; 1M iterations take about 14 s there.
 func migrationSource() string {
+	iters := 2_500_000
+	if raceEnabled {
+		iters = 1_000_000
+	}
 	return fmt.Sprintf(`
 program migrate
 statics 1
@@ -45,7 +55,7 @@ method main args=0 locals=2 returns=false
     print
     return
 end
-`, 1_000_000)
+`, iters)
 }
 
 func TestFleetDrainMigration(t *testing.T) {

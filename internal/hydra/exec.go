@@ -19,20 +19,14 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// exec runs one instruction on c. Out-of-range data accesses surface as
-// *mem.Fault panics from the memory model; recovering at the instruction
-// boundary leaves the CPU parked on the faulting instruction with no partial
-// architectural update, so a speculative fault can defer cleanly (§5.1).
+// exec runs one instruction on c. Every data access the instruction makes
+// itself is bounds-checked before it touches the memory model, so a wild
+// address takes a direct branch to the fault disposition (dataFaultAt) and
+// leaves the CPU on the faulting instruction with no partial architectural
+// update; a speculative fault then defers cleanly (§5.1). Only the VM
+// runtime's own accesses can still fault mid-instruction, and guardRuntime
+// recovers those around each runtime call.
 func (m *Machine) exec(c *CPU) {
-	defer func() {
-		if r := recover(); r != nil {
-			f, ok := r.(*mem.Fault)
-			if !ok {
-				panic(r) // not a data fault; Run's backstop converts it
-			}
-			m.dataFault(c, f)
-		}
-	}()
 	method := m.Image.Method(c.MethodID)
 	if c.PC < 0 || c.PC >= len(method.Code) {
 		m.fail(m.badProgram(c, "pc %d out of range in %s", c.PC, method.Name))
@@ -358,7 +352,11 @@ func (m *Machine) exec(c *CPU) {
 			m.requestGC(c)
 			return
 		}
-		ref, gcNeeded := m.Runtime.Alloc(m, c.ID, in.Imm)
+		var ref int64
+		var gcNeeded bool
+		if m.guardRuntime(c, func() { ref, gcNeeded = m.Runtime.Alloc(m, c.ID, in.Imm) }) {
+			return
+		}
 		if gcNeeded {
 			m.requestGC(c)
 			return
@@ -375,7 +373,11 @@ func (m *Machine) exec(c *CPU) {
 			m.requestGC(c)
 			return
 		}
-		ref, gcNeeded := m.Runtime.AllocArray(m, c.ID, n)
+		var ref int64
+		var gcNeeded bool
+		if m.guardRuntime(c, func() { ref, gcNeeded = m.Runtime.AllocArray(m, c.ID, n) }) {
+			return
+		}
 		if gcNeeded {
 			m.requestGC(c)
 			return
@@ -387,13 +389,17 @@ func (m *Machine) exec(c *CPU) {
 			m.trap(c, isa.ExNullPointer, 0)
 			return
 		}
-		m.Runtime.MonitorEnter(m, c.ID, r[in.Rs])
+		if m.guardRuntime(c, func() { m.Runtime.MonitorEnter(m, c.ID, r[in.Rs]) }) {
+			return
+		}
 	case isa.MONEXIT:
 		if r[in.Rs] == 0 {
 			m.trap(c, isa.ExNullPointer, 0)
 			return
 		}
-		m.Runtime.MonitorExit(m, c.ID, r[in.Rs])
+		if m.guardRuntime(c, func() { m.Runtime.MonitorExit(m, c.ID, r[in.Rs]) }) {
+			return
+		}
 	case isa.THROW:
 		m.trap(c, isa.ExUser, r[in.Rs])
 		return
@@ -408,7 +414,12 @@ func (m *Machine) exec(c *CPU) {
 			m.trap(c, isa.ExNullPointer, 0)
 			return
 		}
-		length := m.loadWord(c, mem.Addr(ref+2), false, ClassHeap)
+		a := mem.Addr(ref + 2)
+		if !m.Mem.InRange(a) {
+			m.wildLoad(c, a, false)
+			return
+		}
+		length := m.loadWord(c, a, false, ClassHeap)
 		if idx := r[in.Rt]; idx < 0 || idx >= length {
 			m.trap(c, isa.ExArrayBounds, 0)
 			return
@@ -562,7 +573,9 @@ func (m *Machine) requestGC(c *CPU) {
 		return
 	}
 	m.quiesceForGC(c)
-	m.Runtime.CollectGarbage(m, c.ID)
+	if m.guardRuntime(c, func() { m.Runtime.CollectGarbage(m, c.ID) }) {
+		return
+	}
 	m.GCRuns++
 	if m.rec != nil {
 		m.record(obs.EvGC, c.ID, m.GCRuns, 0)

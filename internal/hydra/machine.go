@@ -636,34 +636,14 @@ func (m *Machine) guardOnExit() {
 	}
 }
 
-// dataFault routes an out-of-range data access (a *mem.Fault recovered at
-// the instruction boundary). A speculative non-head thread parks it like a
-// deferred exception (§5.1): the wild address may be the product of a
-// wrong-path value an older thread's store will soon squash. An access that
-// reaches architectural execution is a genuine program fault and halts the
-// machine with a typed MemFault.
-func (m *Machine) dataFault(c *CPU, f *mem.Fault) {
-	mf := &MemFault{
-		CPU: c.ID, Cycle: m.Clock, Addr: f.Addr, Write: f.Write,
-		Method: m.Image.Method(c.MethodID).Name, PC: c.PC,
-	}
-	c.extra = 0
-	if m.TLS.Active() && !m.TLS.IsHead(c.ID) {
-		c.pendingFault = mf
-		c.pendingExKind = exKindMemFault
-		c.state = stateWaitException
-		m.recWait(c, obs.WaitException)
-		m.wait(c)
-		return
-	}
-	m.fail(mf)
-}
-
-// dataFaultAt is the panic-free route for a wild data access caught by an
-// explicit bounds check in the dispatch loop: same disposition as dataFault,
-// without materializing a *mem.Fault or unwinding through panic/recover —
-// speculative wrong-path wild addresses are common enough that the unwind
-// machinery showed up in profiles.
+// dataFaultAt routes an out-of-range data access. A speculative non-head
+// thread parks it like a deferred exception (§5.1): the wild address may be
+// the product of a wrong-path value an older thread's store will soon
+// squash. An access that reaches architectural execution is a genuine
+// program fault and halts the machine with a typed MemFault. The
+// interpreter's own loads and stores reach it through an explicit bounds
+// check, so the common wrong-path wild access never builds a panic frame;
+// guardRuntime brings the VM runtime's faults here too.
 func (m *Machine) dataFaultAt(c *CPU, a mem.Addr, write bool) {
 	mf := &MemFault{
 		CPU: c.ID, Cycle: m.Clock, Addr: a, Write: write,
@@ -679,6 +659,29 @@ func (m *Machine) dataFaultAt(c *CPU, a mem.Addr, write bool) {
 		return
 	}
 	m.fail(mf)
+}
+
+// guardRuntime runs call, which enters the VM runtime on c's behalf. The
+// runtime reaches memory through RuntimeLoad/RuntimeStore and
+// RawRead/RawWrite, where an out-of-range address panics with a *mem.Fault
+// from the memory model. guardRuntime recovers that fault into dataFaultAt
+// and reports true; the caller then abandons the instruction, so the fault
+// unwinds from the same point as a wild load or store. Any other panic is a
+// simulator bug and goes on to Run's backstop. Only instructions that call
+// the runtime pay for the recover.
+func (m *Machine) guardRuntime(c *CPU, call func()) (faulted bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(*mem.Fault)
+			if !ok {
+				panic(r)
+			}
+			m.dataFaultAt(c, f.Addr, f.Write)
+			faulted = true
+		}
+	}()
+	call()
+	return false
 }
 
 // wildLoad handles a bounds-checked faulting load. The hardware load buffer

@@ -51,6 +51,185 @@ func TestSpeculativeOutOfRangeStoreFailsWithMemFault(t *testing.T) {
 	}
 }
 
+// --- wild accesses outside LW/LWNV/SW ------------------------------------
+
+// wildRef is far beyond MemWords: every access relative to it faults.
+const wildRef = 1 << 30
+
+// wildRuntime keeps its allocator state at a wild address, so Alloc faults
+// through RuntimeStore or, with gc set, asks for a collection whose
+// CollectGarbage then faults the same way. Each CPU writes its own word, so
+// a fault names the thread that made it. nonHeadAsks counts allocations by
+// speculative non-head threads.
+type wildRuntime struct {
+	stubRuntime
+	gc          bool
+	nonHeadAsks int
+}
+
+func (w *wildRuntime) Alloc(m *Machine, cpu int, classID int64) (int64, bool) {
+	if m.SpecActive() && !m.TLS.IsHead(cpu) {
+		w.nonHeadAsks++
+	}
+	if w.gc {
+		return 0, true
+	}
+	m.RuntimeStore(cpu, wildRef+mem.Addr(cpu), classID, ClassAlloc)
+	return 0, false
+}
+
+func (w *wildRuntime) CollectGarbage(m *Machine, cpu int) {
+	m.RuntimeStore(cpu, wildRef+mem.Addr(cpu), 0, ClassAlloc)
+}
+
+// wildCase is one instruction that faults when T3 holds a wild reference:
+// either in its own access (CHKIDX's length word) or inside the VM runtime
+// it calls. addr is the faulting address for reference ref on cpu.
+type wildCase struct {
+	name  string
+	op    isa.Instr
+	gc    bool // the fault comes from the collection the allocation asks for
+	rt    func() Runtime
+	addr  func(ref int64, cpu int) mem.Addr
+	write bool
+}
+
+func wildCases() []wildCase {
+	stub := func() Runtime { return newStubRuntime() } // locks not elided
+	wild := func(gc bool) func() Runtime {
+		return func() Runtime { return &wildRuntime{stubRuntime: *newStubRuntime(), gc: gc} }
+	}
+	lockWord := func(ref int64, _ int) mem.Addr { return mem.Addr(ref + 1) }
+	perCPU := func(_ int64, cpu int) mem.Addr { return wildRef + mem.Addr(cpu) }
+	return []wildCase{
+		{name: "chkidx", op: isa.Instr{Op: isa.CHKIDX, Rs: isa.T3, Rt: isa.Zero}, rt: stub,
+			addr: func(ref int64, _ int) mem.Addr { return mem.Addr(ref + 2) }},
+		{name: "monenter", op: isa.Instr{Op: isa.MONENTER, Rs: isa.T3}, rt: stub, addr: lockWord},
+		{name: "monexit", op: isa.Instr{Op: isa.MONEXIT, Rs: isa.T3}, rt: stub, addr: lockWord, write: true},
+		{name: "alloc", op: isa.Instr{Op: isa.ALLOC, Rd: isa.T4, Imm: 3}, rt: wild(false), addr: perCPU, write: true},
+		{name: "gc", op: isa.Instr{Op: isa.ALLOC, Rd: isa.T4, Imm: 3}, gc: true, rt: wild(true), addr: perCPU, write: true},
+	}
+}
+
+// TestWildAccessFailsWithMemFault pins the serial disposition of the wild
+// accesses that no LW/LWNV/SW bounds check covers: CHKIDX's length load,
+// the monitor's lock word, and the runtime's own stores from Alloc and
+// CollectGarbage. Each stops the run with a MemFault at the faulting
+// instruction, never ErrInternal, identically with tier-2 on and off. The
+// access issues at cycle 1, after the LI, and counts as the second
+// instruction.
+func TestWildAccessFailsWithMemFault(t *testing.T) {
+	for _, tc := range wildCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			b := isa.NewBuilder()
+			b.Li(isa.T3, wildRef)
+			pc := b.Emit(tc.op)
+			b.Emit(isa.Instr{Op: isa.HALT})
+			img := image(&Method{Name: "main", Code: b.Finish(), FrameWords: 4})
+			m := runTiered(t, img, DefaultOptions(), tc.rt, 1_000_000)
+			var f *MemFault
+			if !errors.As(m.Err(), &f) {
+				t.Fatalf("error %v is not a *MemFault", m.Err())
+			}
+			want := MemFault{CPU: 0, Cycle: 1, Addr: tc.addr(wildRef, 0), Write: tc.write, Method: "main", PC: pc}
+			if *f != want || m.Instructions != 2 {
+				t.Fatalf("fault = %+v after %d instructions, want %+v after 2", *f, m.Instructions, want)
+			}
+			if !errors.Is(m.Err(), mem.ErrOutOfRange) {
+				t.Fatalf("MemFault should unwrap to mem.ErrOutOfRange, got %v", m.Err())
+			}
+		})
+	}
+}
+
+// buildWildSTL assembles a 4-CPU STL in which every iteration i executes op
+// with T3 = wildRef+i. Iteration 0 spins first, so the younger threads reach
+// their wild access while still speculative.
+func buildWildSTL(op isa.Instr) (img *Image, accessPC int) {
+	const n = 16
+	b := isa.NewBuilder()
+	b.Li(isa.T0, 0)
+	b.Sw(isa.T0, isa.FP, 0) // i home = 0
+	b.Li(isa.T0, n)
+	b.Sw(isa.T0, isa.FP, 1) // limit home
+	b.Emit(isa.Instr{Op: isa.STLSTART, Imm: 1})
+	b.Label("init")
+	b.Emit(isa.Instr{Op: isa.MFC2, Rd: isa.T1, Imm: isa.CP2Iteration})
+	b.Lw(isa.S0, isa.FP, 0)
+	b.Op3(isa.ADD, isa.S0, isa.S0, isa.T1)
+	b.Lw(isa.S1, isa.FP, 1)
+	b.Label("top")
+	b.Br(isa.BGE, isa.S0, isa.S1, "shutdown")
+	b.Br(isa.BNE, isa.S0, isa.Zero, "access")
+	b.Li(isa.T2, 200)
+	b.Label("spin")
+	b.OpImm(isa.ADDI, isa.T2, isa.T2, -1)
+	b.Br(isa.BGT, isa.T2, isa.Zero, "spin")
+	b.Label("access")
+	b.OpImm(isa.ADDI, isa.T3, isa.S0, wildRef)
+	accessPC = b.Emit(op)
+	b.Emit(isa.Instr{Op: isa.STLEOI})
+	b.OpImm(isa.ADDI, isa.S0, isa.S0, 4)
+	b.Jmp("top")
+	b.Label("shutdown")
+	b.Emit(isa.Instr{Op: isa.STLSHUTDOWN})
+	b.Emit(isa.Instr{Op: isa.HALT})
+	img = image(&Method{Name: "main", Code: b.Finish(), FrameWords: 8})
+	img.STLs[1] = &STLDesc{ID: 1, Method: 0, InitPC: b.LabelPC("init"),
+		BodyStart: b.LabelPC("init"), BodyEnd: b.LabelPC("shutdown") + 1}
+	return img, accessPC
+}
+
+// TestSpeculativeWildAccessDefersToHead is the speculative counterpart: the
+// younger threads' wild accesses park them (a deferred MemFault, or a wait
+// to collect) instead of failing the run, and the fault surfaces only when
+// the head makes its own access.
+func TestSpeculativeWildAccessDefersToHead(t *testing.T) {
+	for _, tc := range wildCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			img, pc := buildWildSTL(tc.op)
+			var errText [2]string
+			var clock [2]int64
+			for i, tier2Off := range []bool{false, true} {
+				opts := DefaultOptions()
+				opts.Tier2Off = tier2Off
+				rt := tc.rt()
+				m := NewMachine(img, rt, opts)
+				err := m.Run(5_000_000)
+				var f *MemFault
+				if !errors.As(err, &f) {
+					t.Fatalf("tier2Off=%v: error %v is not a *MemFault", tier2Off, err)
+				}
+				if f.CPU != 0 || f.Addr != tc.addr(wildRef, 0) || f.Write != tc.write || f.PC != pc {
+					t.Fatalf("tier2Off=%v: fault = %+v, want the head's access at pc %d", tier2Off, *f, pc)
+				}
+				if tc.gc {
+					// Younger threads asked for the collection and waited
+					// for headship; none of them ran it.
+					if asks := rt.(*wildRuntime).nonHeadAsks; asks < len(m.CPUs)-1 || m.GCRuns != 0 {
+						t.Fatalf("tier2Off=%v: %d non-head allocations, %d collections", tier2Off, asks, m.GCRuns)
+					}
+				} else {
+					for _, c := range m.CPUs[1:] {
+						p := c.pendingFault
+						if c.state != stateWaitException || p == nil {
+							t.Fatalf("tier2Off=%v: cpu%d did not park its fault (state %d)", tier2Off, c.ID, c.state)
+						}
+						ref := wildRef + m.TLS.Iteration(c.ID)
+						if p.CPU != c.ID || p.Addr != tc.addr(ref, c.ID) || p.Write != tc.write || p.PC != pc || p.Cycle >= f.Cycle {
+							t.Fatalf("tier2Off=%v: cpu%d parked %+v; head faulted at cycle %d", tier2Off, c.ID, *p, f.Cycle)
+						}
+					}
+				}
+				errText[i], clock[i] = err.Error(), m.Clock
+			}
+			if errText[0] != errText[1] || clock[0] != clock[1] {
+				t.Fatalf("tier-2 on/off diverge: %q at %d vs %q at %d", errText[0], clock[0], errText[1], clock[1])
+			}
+		})
+	}
+}
+
 func TestCycleBudgetTypedError(t *testing.T) {
 	b := isa.NewBuilder()
 	b.Label("spin")

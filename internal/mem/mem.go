@@ -135,8 +135,10 @@ func (m *Memory) Size() int { return len(m.words) }
 func (m *Memory) InRange(a Addr) bool { return int(a) < len(m.words) }
 
 // Read returns the word at a. An out-of-range address panics with a typed
-// *Fault; the machine layer bounds-checks first and treats any residual
-// fault as a simulator bug surfaced through its recover backstop.
+// *Fault. The machine layer bounds-checks the interpreter's own accesses
+// first, recovers the VM runtime's faults around each runtime call, and
+// treats any other fault as a simulator bug surfaced through its recover
+// backstop.
 func (m *Memory) Read(a Addr) int64 {
 	if int(a) >= len(m.words) {
 		panic(&Fault{Addr: a, Size: len(m.words)})
