@@ -55,8 +55,7 @@ func writeMachine(w io.Writer, m *obs.MachineBuckets) {
 		name string
 		v    int64
 	}{
-		{"serial (interp)", m.SerialInterp},
-		{"serial (tier-2)", m.SerialTier2},
+		{"serial", m.Serial},
 		{"serial gc", m.SerialGC},
 		{"serial exception", m.SerialException},
 		{"idle", m.Idle},

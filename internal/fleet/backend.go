@@ -13,7 +13,7 @@ import (
 	"jrpm/internal/serve"
 )
 
-// Backend is one jrpm-serve replica as the router sees it: submit a job,
+// Backend is one `jrpm serve` replica as the router sees it: submit a job,
 // block until it is terminal, and return the canonical codec encoding of
 // its full result together with the terminal JobView. A non-done terminal
 // status is an error.
@@ -84,7 +84,7 @@ func (b *LocalBackend) Checkpoint(_ context.Context, id int64) ([]byte, error) {
 	return b.Server.Checkpoint(id)
 }
 
-// HTTPBackend drives a remote jrpm-serve replica over its HTTP surface:
+// HTTPBackend drives a remote `jrpm serve` replica over its HTTP surface:
 // POST /jobs, GET /jobs/{id}?wait=..., GET /jobs/{id}/result.
 type HTTPBackend struct {
 	ReplicaName string

@@ -1,4 +1,4 @@
-// Package fleet scales jrpm-serve from a single node to a sharded fleet
+// Package fleet scales `jrpm serve` from a single node to a sharded fleet
 // without touching the pipeline underneath: a consistent-hash router spreads
 // submissions over N replicas, a byte-budgeted LRU memoizes results by
 // content address (the pipeline is deterministic, so (program, options) is

@@ -29,7 +29,7 @@ func TestLedgerHotPathZeroAlloc(t *testing.T) {
 	img := image(&Method{Name: "main", Code: b.Finish(), FrameWords: 4})
 	m, _ := ledgerMachine(img)
 
-	// Serial path: speculation inactive, charges mirror into SerialInterp.
+	// Serial path: speculation inactive, charges mirror into Serial.
 	if n := testing.AllocsPerRun(500, func() {
 		m.TLS.ChargeAttemptDiag(1, tls.ChargeRun, 3)
 	}); n != 0 {

@@ -524,19 +524,14 @@ func (m *Machine) runBlock(c *CPU, b *t2block) bool {
 func (m *Machine) chargeSerial(c *CPU, cycles int64) {
 	if cycles > 0 {
 		if m.led != nil {
-			// Bracket the batched charge so the ledger splits serial cycles
-			// into block-engine vs interpreter dispatch; demoted single steps
-			// go through exec's ordinary charge path and stay interpreter.
-			m.led.SetTier2Window(true)
 			m.TLS.ChargeAttemptDiag(c.ID, tls.ChargeRun, cycles)
-			m.led.SetTier2Window(false)
 			return
 		}
 		m.TLS.ChargeAttempt(c.ID, tls.ChargeRun, cycles)
 	}
 }
 
-// BlockInfo describes one tier-2 block for inspection (jrpm-dis -blocks).
+// BlockInfo describes one tier-2 block for inspection (jrpm dis -blocks).
 type BlockInfo struct {
 	EntryPC  int
 	Len      int // ISA instructions covered

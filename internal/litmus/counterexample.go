@@ -12,7 +12,7 @@ import (
 // Counterexample is a replayable divergence record: the test, the exact
 // schedule (CPU id per step) that exposed it, the oracle check that fired,
 // and a rendered timeline for humans. Persisted as JSON under
-// internal/tls/testdata/litmus/ (regression pins) and by jrpm-litmus -out.
+// internal/tls/testdata/litmus/ (regression pins) and by jrpm litmus -out.
 type Counterexample struct {
 	Version  int    `json:"version"`
 	Check    string `json:"check"`

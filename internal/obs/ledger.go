@@ -43,7 +43,6 @@ type Ledger struct {
 	loops map[int64]*loopState
 	cur   *loopState
 	mode  LoopMode
-	tier2 bool // inside a tier-2 block charge (splits the serial bucket)
 
 	symbolize func(cpu int, addr int64) SiteKey
 	curSite   *SiteStats // pending violation site during one write-bus broadcast
@@ -67,8 +66,7 @@ const (
 // MachineBuckets attribute cycles spent outside any STL, plus the ledger's
 // closing sweeps.
 type MachineBuckets struct {
-	SerialInterp    int64 `json:"serial_interp"`    // serial phase, interpreter dispatch
-	SerialTier2     int64 `json:"serial_tier2"`     // serial phase, tier-2 block engine
+	Serial          int64 `json:"serial"`           // serial phase, whichever host engine ran it
 	SerialGC        int64 `json:"serial_gc"`        // stop-the-world collection outside STLs
 	SerialException int64 `json:"serial_exception"` // exception dispatch outside STLs
 	Idle            int64 `json:"idle"`             // CPU parked with no thread assigned
@@ -205,11 +203,7 @@ func (l *Ledger) SetSymbolizer(fn func(cpu int, addr int64) SiteKey) { l.symboli
 // ChargeSerial attributes non-speculative execution cycles.
 func (l *Ledger) ChargeSerial(cpu int, cycles int64) {
 	l.acct[cpu] += cycles
-	if l.tier2 {
-		l.mach.SerialTier2 += cycles
-	} else {
-		l.mach.SerialInterp += cycles
-	}
+	l.mach.Serial += cycles
 }
 
 // ChargeRun adds tentative speculative run cycles for cpu's attempt.
@@ -385,12 +379,6 @@ func (l *Ledger) SpanException(cpu int, clock, until int64) {
 	l.span(cpu, clock, until, l.loopBucket(func(b *LoopBuckets) *int64 { return &b.Exception }, &l.mach.SerialException))
 }
 
-// --- tier-2 serial split ---
-
-// SetTier2Window brackets a tier-2 block charge so the serial bucket splits
-// into block-engine vs interpreter dispatch.
-func (l *Ledger) SetTier2Window(on bool) { l.tier2 = on }
-
 // --- STL lifecycle ---
 
 // BeginSTL opens accounting for one STL entry.
@@ -511,7 +499,7 @@ func (l *Ledger) Snapshot() *LedgerSnapshot {
 // the InFlight correction term).
 func (s *LedgerSnapshot) Attributed() int64 {
 	m := &s.Machine
-	total := m.SerialInterp + m.SerialTier2 + m.SerialGC + m.SerialException +
+	total := m.Serial + m.SerialGC + m.SerialException +
 		m.Idle + m.Cancelled + m.Leaked
 	for i := range s.Loops {
 		total += s.Loops[i].Buckets.Total()

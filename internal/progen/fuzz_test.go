@@ -9,7 +9,7 @@ import (
 // each input seed becomes a generated program checked across the oracle,
 // sequential, profiled, speculative and rerun executions. Any divergence is
 // a bug in the execution stack (or the suite) and fails the target; go's
-// fuzzer then minimizes the *seed*, and the shrinker (see jrpm-fuzz or
+// fuzzer then minimizes the *seed*, and the shrinker (see jrpm fuzz or
 // TestChaosDetectedAndShrunk) minimizes the *program*.
 func FuzzDifferential(f *testing.F) {
 	for seed := int64(1); seed <= 12; seed++ {

@@ -15,7 +15,7 @@
 //     re-checks after every edit, minimizing any divergent program to a
 //     small reproducer;
 //   - reproducers round-trip through JSON (repro.go), so a divergence found
-//     by jrpm-fuzz is re-runnable forever from testdata/repros/.
+//     by jrpm fuzz is re-runnable forever from testdata/repros/.
 //
 // The differential harness itself lives in harness.go: it runs each program
 // through the AST interpreter oracle, the sequential VM, the speculative
@@ -67,7 +67,7 @@ func QuickConfig() Config {
 	return c
 }
 
-// StressConfig is the large profile for long jrpm-fuzz soaks.
+// StressConfig is the large profile for long jrpm fuzz soaks.
 func StressConfig() Config {
 	c := DefaultConfig()
 	c.Units = 4
@@ -78,7 +78,7 @@ func StressConfig() Config {
 	return c
 }
 
-// ConfigByName maps the jrpm-fuzz -size flag to a profile.
+// ConfigByName maps the jrpm fuzz -size flag to a profile.
 func ConfigByName(name string) (Config, error) {
 	switch name {
 	case "quick":

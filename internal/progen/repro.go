@@ -1,4 +1,4 @@
-// Reproducer files: a divergence found by jrpm-fuzz (or the fuzz targets)
+// Reproducer files: a divergence found by jrpm fuzz (or the fuzz targets)
 // is written to testdata/repros/ as a self-contained JSON document holding
 // the program tree, the harness configuration, the verdict and the lowered
 // assembly. Loading the file and calling Recheck replays the exact run —

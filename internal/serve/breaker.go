@@ -54,7 +54,7 @@ type BreakerStats struct {
 	Recloses  int64  `json:"recloses"`
 }
 
-// Breaker tracks one key — a workload on jrpm-serve, a replica shard on the
+// Breaker tracks one key — a workload on `jrpm serve`, a replica shard on the
 // fleet router. It is exported so the fleet layer reuses the same tested
 // schedule per shard. Calls are serialized by the server's
 // submit path and the worker completion path, so it carries its own lock.

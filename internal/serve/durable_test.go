@@ -42,13 +42,18 @@ end
 `, n)
 }
 
+// durableDeadline is the durability tests' job deadline. Their 1M-iteration
+// job takes ~14 s under the race detector, so every leg gets the same
+// generous deadline; the TLS rung's slice of it must outlast the job.
+const durableDeadline = 60 * time.Second
+
 // durableConfig is the shared config for durability tests: aggressive
 // checkpointing so a sub-second job checkpoints many times.
 func durableConfig(dir string) Config {
 	return Config{
 		Workers:         1,
 		QueueDepth:      8,
-		DefaultDeadline: 60 * time.Second,
+		DefaultDeadline: durableDeadline,
 		DataDir:         dir,
 		CheckpointEvery: 10 * time.Millisecond,
 	}
@@ -76,6 +81,17 @@ func copyTree(t *testing.T, src, dst string) {
 	})
 	if err != nil {
 		t.Fatalf("copy %s -> %s: %v", src, dst, err)
+	}
+}
+
+// requireTLSRung fails unless a leg's result came from the TLS rung without
+// degrading: a degraded leg carries a different result, and must report
+// itself as such rather than as a byte divergence.
+func requireTLSRung(t *testing.T, leg string, v JobView) {
+	t.Helper()
+	if v.Status != StatusDone || v.Rung != RungTLS || v.Degraded {
+		t.Fatalf("%s: status=%s rung=%q degraded=%v attempts=%+v err=%q",
+			leg, v.Status, v.Rung, v.Degraded, v.Attempts, v.Error)
 	}
 }
 
@@ -120,10 +136,7 @@ func TestDurableCrashRecoveryResumesMidRun(t *testing.T) {
 	copyTree(t, dirA, dirB) // the "kill -9 now" disk image
 
 	// Let server A finish undisturbed: its result is the reference bytes.
-	ref := waitDone(t, sA, v.ID)
-	if ref.Status != StatusDone {
-		t.Fatalf("reference job: %+v", ref)
-	}
+	requireTLSRung(t, "reference job", waitDone(t, sA, v.ID))
 	refWire, err := sA.ResultBytes(v.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -147,9 +160,7 @@ func TestDurableCrashRecoveryResumesMidRun(t *testing.T) {
 		sB.Shutdown(ctx)
 	}()
 	got := waitDone(t, sB, v.ID) // same ID survives the crash
-	if got.Status != StatusDone {
-		t.Fatalf("recovered job: status %s: %s", got.Status, got.Error)
-	}
+	requireTLSRung(t, "recovered job", got)
 	if !got.Resumed {
 		t.Fatal("recovered job did not resume from its checkpoint")
 	}
@@ -264,23 +275,23 @@ func TestDurableShutdownReenqueuesForcedJobs(t *testing.T) {
 		s2.Shutdown(ctx)
 	}()
 	got := waitDone(t, s2, v.ID)
-	if got.Status != StatusDone || !got.Resumed {
-		t.Fatalf("recovered job: status=%s resumed=%v err=%q", got.Status, got.Resumed, got.Error)
+	requireTLSRung(t, "recovered job", got)
+	if !got.Resumed {
+		t.Fatal("recovered job did not resume from its checkpoint")
 	}
 	gotWire, err := s2.ResultBytes(v.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Reference leg: the same spec on a plain in-memory server.
-	mem := newTestServer(t, nil)
+	// Reference leg: the same spec on a plain in-memory server, with the
+	// durable legs' deadline so its TLS rung gets the same slice.
+	mem := newTestServer(t, func(c *Config) { c.DefaultDeadline = durableDeadline })
 	rv, err := mem.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd := waitDone(t, mem, rv.ID); rd.Status != StatusDone {
-		t.Fatalf("reference job: %+v", rd)
-	}
+	requireTLSRung(t, "reference job", waitDone(t, mem, rv.ID))
 	refWire, err := mem.ResultBytes(rv.ID)
 	if err != nil {
 		t.Fatal(err)

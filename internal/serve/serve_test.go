@@ -44,9 +44,12 @@ func scripted(script func(rung Rung) (*core.Result, error)) JobSpec {
 	}
 }
 
+// waitDone waits for a job to reach a terminal status. The bound is the
+// longest job deadline any test sets (durableDeadline): a job cannot outlive
+// its own deadline, so a slow host (the race detector) never reads as a hang.
 func waitDone(t *testing.T, s *Server, id int64) JobView {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), durableDeadline)
 	defer cancel()
 	v, err := s.Wait(ctx, id)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 //
 // Every concrete error carries structured machine coordinates (operation,
 // cpu, iteration, head, address where applicable) and supports errors.As, so
-// litmus counterexamples and `jrpm-serve` logs can classify failures without
+// litmus counterexamples and `jrpm serve` logs can classify failures without
 // string matching.
 var (
 	// ErrProtocol is the sentinel every protocol-invariant breach unwraps

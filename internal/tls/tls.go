@@ -59,7 +59,7 @@ type Config struct {
 	// holds for unwritten words — the classic line-granularity forwarding
 	// bug the Figure-2 word-valid bits exist to prevent. The differential
 	// harness must detect the resulting divergence; never set it outside
-	// tests and jrpm-fuzz -chaos.
+	// tests and jrpm fuzz -chaos.
 	ChaosNoWordValid bool
 }
 
