@@ -22,9 +22,8 @@ func invoke(t *testing.T, args ...string) (code int, out, errOut string) {
 
 // TestRunSeqRunsOnlyTheSequentialBaseline: -seq must not run the
 // profiling or speculative phase. The pinned program is the fuzzer's
-// smallest seq-vs-TLS divergence (seed 5005157), whose speculative run
-// still prints the wrong answer, so a -seq that ran the whole pipeline
-// exits 1.
+// smallest seq-vs-TLS divergence (seed 5005157); the metrics show which
+// phases ran, since its speculative run now prints the same answer.
 func TestRunSeqRunsOnlyTheSequentialBaseline(t *testing.T) {
 	code, out, errOut := invoke(t, "run", "-seq", "-metrics", "-", "testdata/resetable_inductor.jasm")
 	if code != 0 || !strings.HasPrefix(out, "-46\n") {
@@ -37,6 +36,20 @@ func TestRunSeqRunsOnlyTheSequentialBaseline(t *testing.T) {
 	}
 	if !strings.HasPrefix(errOut, "sequential: ") || strings.Contains(errOut, "speculative") {
 		t.Errorf("run -seq: stderr %q, want only the sequential cycle count", errOut)
+	}
+}
+
+// TestResetBeforeIncrementSpeculates: the seed-5005157 reproducer resets
+// a resetable inductor before its increment in the same iteration, so the
+// reset's value is where the current iteration starts, not the next one.
+// Its speculative run must print the sequential -46.
+func TestResetBeforeIncrementSpeculates(t *testing.T) {
+	code, out, errOut := invoke(t, "run", "-metrics", "-", "testdata/resetable_inductor.jasm")
+	if code != 0 || !strings.HasPrefix(out, "-46\n") {
+		t.Fatalf("run: exit %d, stdout %q, stderr %q; want exit 0 and -46", code, out, errOut)
+	}
+	if strings.Contains(out, `jrpm_cycles_total{phase="tls"} 0`+"\n") || !strings.Contains(errOut, "speculative: ") {
+		t.Fatalf("run did not take the TLS leg: stdout %q, stderr %q", out, errOut)
 	}
 }
 

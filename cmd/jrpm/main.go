@@ -373,7 +373,7 @@ func parseFleet(args []string) (*flags, fleet.Config, []string, error) {
 
 // fleetCmd fronts serve replicas with a sharded, cache-backed router (see
 // internal/fleet): consistent hashing, a content-addressed LRU of results,
-// singleflight coalescing, per-shard circuit breakers and hedged retries.
+// singleflight coalescing, failover along the ring and hedged retries.
 func fleetCmd(ctx context.Context, args []string) error {
 	f, cfg, urls, err := parseFleet(args)
 	if err != nil {

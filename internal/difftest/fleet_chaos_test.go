@@ -187,11 +187,10 @@ func TestFleetChaosStorm(t *testing.T) {
 	if v := reg.Counter("jrpm_fleet_cache_hits_total").Value(); v == 0 {
 		t.Fatal("storm produced no cache hits")
 	}
-	t.Logf("storm: %d jobs, %d hits, %d coalesced joins, %d failovers, %d shed, %d hedges",
+	t.Logf("storm: %d jobs, %d hits, %d coalesced joins, %d failovers, %d hedges",
 		reg.Counter("jrpm_fleet_jobs_total").Value(),
 		reg.Counter("jrpm_fleet_cache_hits_total").Value(),
 		reg.Counter("jrpm_fleet_coalesce_joined_total").Value(),
 		reg.Counter("jrpm_fleet_failovers_total").Value(),
-		reg.Counter("jrpm_fleet_breaker_shed_total").Value(),
 		reg.Counter("jrpm_fleet_hedges_total").Value())
 }

@@ -125,6 +125,13 @@ func TestFleetDrainMigration(t *testing.T) {
 	if n := h.router.Metrics().Counter("jrpm_fleet_migrations_total").Value(); n != 1 {
 		t.Fatalf("jrpm_fleet_migrations_total = %d, want 1", n)
 	}
+	// A resume that fell back to a restart would still produce the same
+	// bytes; the counter is what tells them apart.
+	for i, s := range h.servers {
+		if n := s.Metrics().Counter("jrpm_serve_checkpoint_fallbacks_total").Value(); n != 0 {
+			t.Fatalf("replica-%d: jrpm_serve_checkpoint_fallbacks_total = %d, want 0", i, n)
+		}
+	}
 
 	// The migrated result must be byte-identical to an undisturbed replica
 	// run of the same spec.

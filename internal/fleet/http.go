@@ -17,11 +17,10 @@ import (
 //	                bytes (application/octet-stream) plus X-Jrpm-Cache
 //	                (hit|miss), X-Jrpm-Coalesced and X-Jrpm-Replica headers;
 //	                ?format=json returns a JSON summary instead.
-//	GET  /replicas  shard list with per-shard breaker state and last
-//	                dispatch/result probe times
-//	GET  /healthz   liveness      GET /readyz  readiness (503 with the
-//	                per-shard breaker detail when every shard's breaker is
-//	                open, i.e. no submission would be admitted anywhere)
+//	GET  /replicas  shard list with each shard's last dispatch and result
+//	                times and its last error
+//	GET  /healthz   liveness      GET /readyz  readiness (503 when the
+//	                router has no replica)
 //	GET  /metrics   Prometheus text exposition (jrpm_fleet_*)
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -116,24 +115,22 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Write(out.Wire)
 }
 
-// replicaView is one shard's state for GET /replicas and the degraded
-// /readyz body: breaker state plus the shard's last dispatch/result probe
-// times (zero until the shard has been touched).
+// replicaView is one shard's state for GET /replicas: its last dispatch
+// and result times (absent until the shard has been touched) and the error
+// its last attempt returned.
 type replicaView struct {
-	Index        int                `json:"index"`
-	Name         string             `json:"name"`
-	Breaker      serve.BreakerStats `json:"breaker"`
-	LastDispatch *time.Time         `json:"last_dispatch,omitempty"`
-	LastResult   *time.Time         `json:"last_result,omitempty"`
-	LastError    string             `json:"last_error,omitempty"`
+	Index        int        `json:"index"`
+	Name         string     `json:"name"`
+	LastDispatch *time.Time `json:"last_dispatch,omitempty"`
+	LastResult   *time.Time `json:"last_result,omitempty"`
+	LastError    string     `json:"last_error,omitempty"`
 }
 
 // replicaViews snapshots every shard's health.
 func (rt *Router) replicaViews() []replicaView {
-	stats := rt.Breakers()
 	views := make([]replicaView, len(rt.backends))
 	for i, b := range rt.backends {
-		v := replicaView{Index: i, Name: b.Name(), Breaker: stats[i]}
+		v := replicaView{Index: i, Name: b.Name()}
 		dispatch, result, lastErr := rt.shards[i].snapshot()
 		if !dispatch.IsZero() {
 			v.LastDispatch = &dispatch
@@ -151,27 +148,17 @@ func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rt.replicaViews())
 }
 
-// handleReady reports fleet-level readiness: 200 while at least one shard's
-// breaker would admit a submission, 503 with the per-shard detail once every
-// breaker is open (an empty fleet is also unready).
+// handleReady reports fleet-level readiness: 200 whenever the router has a
+// replica to dispatch to, 503 for an empty fleet. A down replica fails its
+// attempt at once and the dispatch fails over, so one shard's health never
+// makes the fleet unready.
 func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
-	views := rt.replicaViews()
-	admitting := 0
-	for _, v := range views {
-		if !v.Breaker.Open {
-			admitting++
-		}
-	}
-	if admitting == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status":   "degraded",
-			"replicas": views,
-		})
+	if len(rt.backends) == 0 {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "no replicas"})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":    "ready",
-		"admitting": admitting,
-		"replicas":  len(views),
+		"status":   "ready",
+		"replicas": len(rt.backends),
 	})
 }

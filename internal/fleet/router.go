@@ -3,8 +3,8 @@
 // submissions over N replicas, a byte-budgeted LRU memoizes results by
 // content address (the pipeline is deterministic, so (program, options) is
 // a perfect key), singleflight coalescing collapses identical in-flight
-// jobs, per-shard circuit breakers shed traffic to dead replicas, and
-// hedged retries bound tail latency when the owning shard is slow.
+// jobs, failover walks the ring past replicas that refuse or drop a job,
+// and hedged retries bound tail latency when the owning shard is slow.
 package fleet
 
 import (
@@ -33,9 +33,6 @@ type Config struct {
 	// when the current attempt has not finished within this duration —
 	// deadline risk, in submissions-per-second terms. 0 disables hedging.
 	HedgeAfter time.Duration
-	// Breaker configures the per-shard circuit breakers (serve's
-	// submission-counted schedule; defaults from serve.DefaultBreakerConfig).
-	Breaker serve.BreakerConfig
 	// Serve mirrors the replicas' serve.Config. The router derives each
 	// submission's effective core.Options from it for the cache key, so it
 	// must match what the replicas run — a drift would make the key
@@ -67,9 +64,7 @@ type Outcome struct {
 
 // Routing errors.
 var (
-	// ErrNoReplicas rejects a submission because the fleet has no candidate
-	// shards at all. Open breakers alone never produce it: an all-shed
-	// fleet fails open with a forced probe on the preferred shard instead.
+	// ErrNoReplicas rejects a submission because the fleet has no replicas.
 	ErrNoReplicas = errors.New("fleet: no replica available")
 )
 
@@ -80,15 +75,14 @@ type Router struct {
 	reg      *obs.Registry
 	ring     *Ring
 	backends []Backend
-	breakers []*serve.Breaker
 	shards   []shardHealth
 	cache    *cache.LRU
 	group    *cache.Group
 
-	jobs, hedges, failovers, migrations, shed, forced, errs *obs.Counter
+	jobs, hedges, failovers, migrations, errs *obs.Counter
 }
 
-// shardHealth tracks per-shard dispatch liveness for /replicas and /readyz.
+// shardHealth tracks per-shard dispatch liveness for /replicas.
 type shardHealth struct {
 	mu           sync.Mutex
 	lastDispatch time.Time
@@ -124,10 +118,8 @@ func (h *shardHealth) snapshot() (dispatch, result time.Time, lastErr string) {
 func New(cfg Config, backends []Backend) *Router {
 	reg := obs.NewRegistry()
 	names := make([]string, len(backends))
-	breakers := make([]*serve.Breaker, len(backends))
 	for i, b := range backends {
 		names[i] = b.Name()
-		breakers[i] = serve.NewBreaker(b.Name(), cfg.Breaker)
 	}
 	var lru *cache.LRU
 	if cfg.CacheBytes >= 0 {
@@ -138,7 +130,6 @@ func New(cfg Config, backends []Backend) *Router {
 		reg:      reg,
 		ring:     NewRing(names, cfg.VNodes),
 		backends: backends,
-		breakers: breakers,
 		shards:   make([]shardHealth, len(backends)),
 		cache:    lru,
 		group:    cache.NewGroup(reg),
@@ -147,8 +138,6 @@ func New(cfg Config, backends []Backend) *Router {
 		hedges:     reg.Counter("jrpm_fleet_hedges_total"),
 		failovers:  reg.Counter("jrpm_fleet_failovers_total"),
 		migrations: reg.Counter("jrpm_fleet_migrations_total"),
-		shed:       reg.Counter("jrpm_fleet_breaker_shed_total"),
-		forced:     reg.Counter("jrpm_fleet_forced_probes_total"),
 		errs:       reg.Counter("jrpm_fleet_errors_total"),
 	}
 	reg.Gauge("jrpm_fleet_replicas").Set(float64(len(backends)))
@@ -157,15 +146,6 @@ func New(cfg Config, backends []Backend) *Router {
 
 // Metrics exposes the router's registry (live; safe for concurrent reads).
 func (rt *Router) Metrics() *obs.Registry { return rt.reg }
-
-// Breakers snapshots the per-shard circuit breakers in shard order.
-func (rt *Router) Breakers() []serve.BreakerStats {
-	out := make([]serve.BreakerStats, len(rt.breakers))
-	for i, b := range rt.breakers {
-		out[i] = b.Stats()
-	}
-	return out
-}
 
 // Ring exposes the hash ring (immutable).
 func (rt *Router) Ring() *Ring { return rt.ring }
@@ -199,9 +179,9 @@ func (rt *Router) key(spec serve.JobSpec) (key string, cacheable bool, err error
 }
 
 // Do routes one submission: cache lookup, then singleflight coalescing,
-// then consistent-hash dispatch with per-shard breakers, hedging and
-// failover. ctx bounds this caller's wait; a coalesced run shared with
-// other callers is not cancelled when one caller gives up.
+// then consistent-hash dispatch with hedging and failover. ctx bounds this
+// caller's wait; a coalesced run shared with other callers is not
+// cancelled when one caller gives up.
 func (rt *Router) Do(ctx context.Context, spec serve.JobSpec) (Outcome, error) {
 	rt.jobs.Inc()
 	key, cacheable, err := rt.key(spec)
@@ -269,25 +249,36 @@ type attemptResult struct {
 }
 
 // dispatch runs the spec on the key's preferred shard, hedging to the next
-// shard past the deadline-risk threshold and failing over on error; when
-// every candidate is shed it fails open with forced probes in preference
-// order rather than rejecting the submission. It returns the first
-// successful attempt; losers are cancelled and their breaker outcomes
-// recorded neutrally. migrated reports that some attempt was interrupted
-// (e.g. a draining replica) and the job moved shards — possibly resuming
-// from the interrupted replica's checkpoint.
+// shard past the deadline-risk threshold and failing over along the ring
+// order on error. A down or full replica fails its attempt at once, so the
+// walk skips it for the price of one cheap call. When every attempt of the
+// walk has failed and none is still in flight, dispatch walks the order
+// once more: a replica that was down for an instant gets a second chance,
+// and no shard ever runs two attempts of one dispatch at once. It returns
+// the first successful attempt; dcancel interrupts the losers, whose
+// results land in resCh's spare capacity. migrated reports that some
+// attempt was interrupted (e.g. a draining replica) and the job moved
+// shards — possibly resuming from the interrupted replica's checkpoint.
 func (rt *Router) dispatch(ctx context.Context, spec serve.JobSpec, key string) (_ []byte, _ serve.JobView, _ string, migrated bool, _ error) {
 	order := rt.ring.Order(key)
+	if len(order) == 0 {
+		return nil, serve.JobView{}, "", false, ErrNoReplicas
+	}
 	dctx, dcancel := context.WithCancel(ctx)
 	defer dcancel()
 
-	resCh := make(chan attemptResult, len(order))
+	attempts := 2 * len(order) // two walks of the order at most
+	resCh := make(chan attemptResult, attempts)
 	inflight, next := 0, 0
-	var skipped []int
-	// start dispatches one attempt to shard i. The spec is passed by value:
-	// a later migration rewrites the local copy's Checkpoint without racing
-	// attempts already in flight.
-	start := func(i int) {
+	// launch starts the next attempt in ring order, if any. The spec is
+	// passed by value: a later migration rewrites the local copy's
+	// Checkpoint without racing attempts already in flight.
+	launch := func() bool {
+		if next == attempts || (next == len(order) && inflight > 0) {
+			return false
+		}
+		i := order[next%len(order)]
+		next++
 		rt.reg.Counter(fmt.Sprintf("jrpm_fleet_dispatch_total{replica=%q}", rt.backends[i].Name())).Inc()
 		rt.shards[i].noteDispatch()
 		inflight++
@@ -295,57 +286,10 @@ func (rt *Router) dispatch(ctx context.Context, spec serve.JobSpec, key string) 
 			w, v, err := rt.backends[i].Run(dctx, spec)
 			resCh <- attemptResult{wire: w, view: v, err: err, idx: i}
 		}(i, spec)
-	}
-	// launch starts the next breaker-admitted candidate, remembering shed
-	// shards; it reports whether an attempt actually started.
-	launch := func() bool {
-		for next < len(order) {
-			i := order[next]
-			next++
-			if !rt.breakers[i].Admit() {
-				rt.shed.Inc()
-				skipped = append(skipped, i)
-				continue
-			}
-			start(i)
-			return true
-		}
-		return false
-	}
-	// forceLaunch fails open when every remaining candidate was shed: the
-	// most-preferred shed shard gets a forced probe, breaker notwithstanding.
-	// A fleet whose breakers are all open is indistinguishable from one whose
-	// replicas all just recovered — brownout (one probe attempt) beats
-	// blackout (rejecting the submission outright). The attempt's outcome
-	// feeds the shard's breaker like any probe: success recloses the circuit.
-	forceLaunch := func() bool {
-		if len(skipped) == 0 {
-			return false
-		}
-		i := skipped[0]
-		skipped = skipped[1:]
-		rt.forced.Inc()
-		start(i)
 		return true
 	}
-	// reap drains n straggler attempts in the background after dispatch
-	// returns (dcancel interrupts them), recording each as a neutral
-	// cancellation so no shard breaker wedges behind an unresolved probe.
-	reap := func(n int) {
-		if n <= 0 {
-			return
-		}
-		go func() {
-			for k := 0; k < n; k++ {
-				r := <-resCh
-				rt.breakers[r.idx].OnResult(false, true)
-			}
-		}()
-	}
 
-	if !launch() && !forceLaunch() {
-		return nil, serve.JobView{}, "", false, fmt.Errorf("%w: %d shard(s)", ErrNoReplicas, len(order))
-	}
+	launch()
 	var hedge <-chan time.Time
 	if rt.cfg.HedgeAfter > 0 {
 		hedge = time.After(rt.cfg.HedgeAfter)
@@ -358,40 +302,31 @@ func (rt *Router) dispatch(ctx context.Context, spec serve.JobSpec, key string) 
 			name := rt.backends[r.idx].Name()
 			rt.shards[r.idx].noteResult(r.err)
 			if r.err == nil {
-				rt.breakers[r.idx].OnResult(true, false)
-				reap(inflight)
 				return r.wire, r.view, name, migrated, nil
 			}
 			if errors.Is(r.err, ErrJobFailed) {
 				// The shard worked; the program failed deterministically.
 				// Every replica would reproduce it, so failing over would
-				// just burn capacity — and the shard stays certified.
-				rt.breakers[r.idx].OnResult(true, false)
-				reap(inflight)
+				// just burn capacity.
 				return nil, r.view, name, migrated, r.err
 			}
+			lastErr = fmt.Errorf("fleet: replica %s: %w", name, r.err)
 			if errors.Is(r.err, ErrInterrupted) {
-				// The replica drained under us (shutdown, operator cancel):
-				// neutral for its breaker — nothing is wrong with the shard's
-				// capacity to simulate. Carry its last checkpoint to the next
-				// shard so the job continues mid-simulation instead of
-				// restarting.
-				rt.breakers[r.idx].OnResult(false, true)
+				// The replica drained under us (shutdown, operator cancel).
+				// Carry its last checkpoint to the next shard so the job
+				// continues mid-simulation instead of restarting.
 				migrated = true
 				if f, ok := rt.backends[r.idx].(CheckpointFetcher); ok && r.view.ID != 0 {
 					if ckpt, cerr := f.Checkpoint(ctx, r.view.ID); cerr == nil && len(ckpt) > 0 {
 						spec.Checkpoint = ckpt
 					}
 				}
-				lastErr = fmt.Errorf("fleet: replica %s: %w", name, r.err)
-				if ctx.Err() == nil && (launch() || forceLaunch()) {
+				if ctx.Err() == nil && launch() {
 					rt.migrations.Inc()
 				}
 				continue
 			}
-			rt.breakers[r.idx].OnResult(false, ctx.Err() != nil)
-			lastErr = fmt.Errorf("fleet: replica %s: %w", name, r.err)
-			if ctx.Err() == nil && (launch() || forceLaunch()) {
+			if ctx.Err() == nil && launch() {
 				rt.failovers.Inc()
 			}
 		case <-hedge:
@@ -400,12 +335,8 @@ func (rt *Router) dispatch(ctx context.Context, spec serve.JobSpec, key string) 
 				rt.hedges.Inc()
 			}
 		case <-ctx.Done():
-			reap(inflight)
 			return nil, serve.JobView{}, "", migrated, context.Cause(ctx)
 		}
-	}
-	if lastErr == nil {
-		lastErr = ErrNoReplicas
 	}
 	return nil, serve.JobView{}, "", migrated, lastErr
 }

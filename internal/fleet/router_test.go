@@ -14,21 +14,28 @@ import (
 )
 
 // stubBackend is a scriptable replica: fixed response bytes, optional
-// latency, and a kill switch. The response encodes the replica name so
-// tests can tell which shard served a request.
+// latency, a kill switch and a count of calls to refuse. The response
+// encodes the replica name so tests can tell which shard served a request.
 type stubBackend struct {
 	name     string
 	calls    atomic.Int64
 	delay    time.Duration
 	down     atomic.Bool
+	refuse   atomic.Int64 // the next this-many calls fail as if down
 	degraded bool
 	jobFail  bool
+
+	active, peak atomic.Int64 // concurrent calls now, and at most
 }
 
 func (s *stubBackend) Name() string { return s.name }
 
 func (s *stubBackend) Run(ctx context.Context, spec serve.JobSpec) ([]byte, serve.JobView, error) {
 	s.calls.Add(1)
+	n := s.active.Add(1)
+	defer s.active.Add(-1)
+	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
+	}
 	if s.delay > 0 {
 		select {
 		case <-time.After(s.delay):
@@ -36,7 +43,7 @@ func (s *stubBackend) Run(ctx context.Context, spec serve.JobSpec) ([]byte, serv
 			return nil, serve.JobView{}, ctx.Err()
 		}
 	}
-	if s.down.Load() {
+	if s.down.Load() || s.refuse.Add(-1) >= 0 {
 		return nil, serve.JobView{}, errors.New("stub: connection refused")
 	}
 	if s.jobFail {
@@ -222,57 +229,6 @@ func TestRouterFailoverWithoutCachePoisoning(t *testing.T) {
 	if !again.CacheHit || !bytes.Equal(again.Wire, out.Wire) {
 		t.Fatalf("post-revival call: hit=%v, bytes equal=%v", again.CacheHit, bytes.Equal(again.Wire, out.Wire))
 	}
-
-	// Shard health was recorded on the right breakers.
-	bs := rt.Breakers()
-	if bs[order[0]].Failures != 1 {
-		t.Fatalf("owner breaker failures = %d, want 1", bs[order[0]].Failures)
-	}
-	if bs[order[1]].Successes != 1 || bs[order[1]].Failures != 0 {
-		t.Fatalf("backup breaker %+v, want one clean success", bs[order[1]])
-	}
-}
-
-func TestRouterBreakersIndependentPerShard(t *testing.T) {
-	// Trip after one failure; long backoff so the circuit stays open for
-	// the whole test. Caching off so every Do dispatches.
-	rt, stubs := newTestRouter(t, 2, Config{
-		CacheBytes: -1,
-		Breaker:    serve.BreakerConfig{Trip: 1, Backoff: 100, MaxBackoff: 100},
-	})
-	spec := testSpec(t, 6)
-	order := shardOrder(t, rt, spec)
-	owner, backup := stubs[order[0]], stubs[order[1]]
-
-	owner.down.Store(true)
-	if _, err := rt.Do(context.Background(), spec); err != nil {
-		t.Fatalf("first dispatch should fail over: %v", err)
-	}
-	bs := rt.Breakers()
-	if !bs[order[0]].Open {
-		t.Fatal("owner breaker did not open after its trip threshold")
-	}
-	if bs[order[1]].Open {
-		t.Fatal("backup breaker opened although the backup is healthy")
-	}
-
-	// With the owner's circuit open, its shard is shed without a dispatch
-	// attempt: the owner sees no further traffic even though it is the
-	// ring owner for this key.
-	ownerCalls := owner.calls.Load()
-	out, err := rt.Do(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Replica != backup.name {
-		t.Fatalf("served by %q while owner circuit open, want %q", out.Replica, backup.name)
-	}
-	if owner.calls.Load() != ownerCalls {
-		t.Fatal("open circuit still dispatched to the owner")
-	}
-	if v := rt.Metrics().Counter("jrpm_fleet_breaker_shed_total").Value(); v == 0 {
-		t.Fatal("no shed recorded for the open shard")
-	}
 }
 
 func TestRouterDeterministicJobFailureDoesNotFailOver(t *testing.T) {
@@ -288,60 +244,134 @@ func TestRouterDeterministicJobFailureDoesNotFailOver(t *testing.T) {
 	if c := stubs[order[1]].calls.Load(); c != 0 {
 		t.Fatalf("deterministic program failure failed over (%d calls to backup)", c)
 	}
-	// The shard did its work; its breaker must not count the program's
-	// deterministic failure against the replica.
-	if bs := rt.Breakers(); bs[order[0]].Failures != 0 || bs[order[0]].Open {
-		t.Fatalf("breaker charged the shard for a program failure: %+v", bs[order[0]])
-	}
 	if v := rt.Metrics().Counter("jrpm_fleet_failovers_total").Value(); v != 0 {
 		t.Fatalf("failovers = %d, want 0", v)
 	}
 }
 
-func TestRouterAllShardsShedFailsOpen(t *testing.T) {
-	rt, stubs := newTestRouter(t, 2, Config{
-		CacheBytes: -1,
-		Breaker:    serve.BreakerConfig{Trip: 1, Backoff: 100, MaxBackoff: 100},
-	})
+func TestRouterSecondWalkAfterEveryShardFails(t *testing.T) {
+	rt, stubs := newTestRouter(t, 2, Config{CacheBytes: -1})
 	spec := testSpec(t, 8)
+	order := shardOrder(t, rt, spec)
+	// Every replica refuses its first call, as if each was down for an
+	// instant: the first walk fails on both shards and the second walk
+	// starts again at the owner, which now serves.
 	for _, s := range stubs {
-		s.down.Store(true)
-	}
-	// First call fails on every shard and opens both breakers.
-	if _, err := rt.Do(context.Background(), spec); err == nil {
-		t.Fatal("dispatch with every replica down succeeded")
-	}
-	// Every circuit is open, but the fleet fails open instead of rejecting:
-	// forced probes reach the (still-down) replicas and the replica error —
-	// not ErrNoReplicas — comes back.
-	calls := stubs[0].calls.Load() + stubs[1].calls.Load()
-	_, err := rt.Do(context.Background(), spec)
-	if err == nil || errors.Is(err, ErrNoReplicas) {
-		t.Fatalf("got %v, want the probed replica's own error", err)
-	}
-	if n := stubs[0].calls.Load() + stubs[1].calls.Load(); n <= calls {
-		t.Fatal("all-shed dispatch never probed a replica")
-	}
-	if v := rt.Metrics().Counter("jrpm_fleet_forced_probes_total").Value(); v == 0 {
-		t.Fatal("no forced probe recorded for the all-shed dispatch")
-	}
-
-	// Revive the replicas: the very next submission's forced probe must
-	// succeed and reclose the probed shard's circuit — recovery costs one
-	// request, not a backoff schedule.
-	for _, s := range stubs {
-		s.down.Store(false)
+		s.refuse.Store(1)
 	}
 	out, err := rt.Do(context.Background(), spec)
 	if err != nil {
-		t.Fatalf("forced probe after revival failed: %v", err)
+		t.Fatalf("second walk failed: %v", err)
 	}
-	if out.Replica == "" {
-		t.Fatal("revived dispatch served from nowhere")
+	if out.Replica != stubs[order[0]].name {
+		t.Fatalf("served by %q, want the owner %q on the second walk", out.Replica, stubs[order[0]].name)
 	}
+	if o, b := stubs[order[0]].calls.Load(), stubs[order[1]].calls.Load(); o != 2 || b != 1 {
+		t.Fatalf("owner saw %d calls and backup %d, want 2 and 1", o, b)
+	}
+	if v := rt.Metrics().Counter("jrpm_fleet_failovers_total").Value(); v != 2 {
+		t.Fatalf("failovers = %d, want 2", v)
+	}
+
+	// Replicas that keep failing fail the dispatch after two walks, with
+	// the last replica's own error.
+	for _, s := range stubs {
+		s.calls.Store(0)
+		s.down.Store(true)
+	}
+	if _, err := rt.Do(context.Background(), spec); err == nil || errors.Is(err, ErrNoReplicas) {
+		t.Fatalf("got %v, want the last replica's error", err)
+	}
+	for _, s := range stubs {
+		if c := s.calls.Load(); c != 2 {
+			t.Fatalf("%s saw %d calls with every replica down, want 2", s.name, c)
+		}
+	}
+}
+
+func TestRouterSecondWalkWaitsForFirstWalk(t *testing.T) {
+	// The owner is slow and the hedge fires onto the backup, which fails at
+	// once. The second walk must not retry the owner while its first
+	// attempt still runs: it starts only once that attempt has failed too.
+	rt, stubs := newTestRouter(t, 2, Config{CacheBytes: -1, HedgeAfter: 10 * time.Millisecond})
+	spec := testSpec(t, 10)
 	order := shardOrder(t, rt, spec)
-	if bs := rt.Breakers(); bs[order[0]].Open {
-		t.Fatalf("successful forced probe left the preferred breaker open: %+v", bs[order[0]])
+	owner, backup := stubs[order[0]], stubs[order[1]]
+	owner.delay = 100 * time.Millisecond
+	owner.refuse.Store(1)
+	backup.refuse.Store(1)
+	out, err := rt.Do(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("dispatch failed: %v", err)
+	}
+	if out.Replica != owner.name || owner.calls.Load() != 2 || backup.calls.Load() != 1 {
+		t.Fatalf("served by %q after %d owner and %d backup calls, want the owner after 2 and 1",
+			out.Replica, owner.calls.Load(), backup.calls.Load())
+	}
+	for _, s := range stubs {
+		if p := s.peak.Load(); p != 1 {
+			t.Fatalf("%s ran %d attempts of one dispatch at once", s.name, p)
+		}
+	}
+}
+
+// divideByZero is a program that fails deterministically on every replica.
+const divideByZero = `
+program divzero
+statics 1
+method main args=0 locals=1 returns=false
+    const 1
+    const 0
+    idiv
+    print
+    return
+end
+`
+
+func TestRouterProgramFailuresDoNotMoveHealthyJobs(t *testing.T) {
+	scfg := serve.Config{Workers: 1}
+	backends := make([]Backend, 2)
+	for i := range backends {
+		s := serve.New(scfg)
+		s.Start()
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			s.Shutdown(ctx)
+		})
+		backends[i] = &LocalBackend{ReplicaName: fmt.Sprintf("replica-%d", i), Server: s}
+	}
+	rt := New(Config{Serve: scfg}, backends)
+
+	// One program fails again and again. The replicas' per-workload
+	// breakers open on it; nothing is wrong with either machine.
+	bad := serve.JobSpec{Name: "divzero", Source: divideByZero, Mode: "tls"}
+	owner := shardOrder(t, rt, bad)[0]
+	for i := 0; i < 12; i++ {
+		if _, err := rt.Do(context.Background(), bad); err == nil {
+			t.Fatalf("submission %d of a divide-by-zero program succeeded", i)
+		}
+	}
+
+	// Healthy programs the same shard owns must still run there.
+	moved, owned := 0, 0
+	for seed := int64(1); owned < 6; seed++ {
+		spec := testSpec(t, seed)
+		if shardOrder(t, rt, spec)[0] != owner {
+			continue
+		}
+		owned++
+		out, err := rt.Do(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("healthy %s: %v", spec.Name, err)
+		}
+		if out.Replica != backends[owner].Name() {
+			moved++
+		}
+	}
+	if moved != 0 {
+		t.Fatalf("%d of %d healthy jobs owned by %s ran elsewhere after one program's failures",
+			moved, owned, backends[owner].Name())
 	}
 }
 

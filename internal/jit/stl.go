@@ -96,23 +96,25 @@ func (lw *lowerer) locateInductorSites(ctx *stlCtx) {
 	}
 }
 
-// incDominates reports whether slot s's inductor increment in the outer
-// loop has already executed whenever control reaches block head (an inner
-// loop's header). The classification pass guarantees exactly one
+// incDominates reports whether slot s's inductor increment in ctx's loop
+// has already executed whenever control reaches pc in the current
+// iteration. The classification pass guarantees exactly one
 // increment-shaped store of the right step on the every-iteration path
 // (dominating all back edges, not inside a nested loop); the increment has
-// run iff that block dominates head.
-func (lw *lowerer) incDominates(outer *stlCtx, s int, head int) bool {
+// run iff its block dominates pc's block, and, when the two share a block,
+// iff it comes first.
+func (lw *lowerer) incDominates(ctx *stlCtx, s int, pc int) bool {
 	code := lw.m.Code
-	l := outer.loop
-	step := outer.indStep[s]
+	l := ctx.loop
+	step := ctx.indStep[s]
+	at := lw.g.BlockAt(pc)
 	for b := range l.Blocks {
 		if inner := lw.g.InnermostLoopOf(b); inner != l {
 			continue
 		}
 		blk := lw.g.Blocks[b]
-		for pc := blk.Start; pc < blk.End; pc++ {
-			st, ok := cfg.IncrementStep(code, pc, s)
+		for inc := blk.Start; inc < blk.End; inc++ {
+			st, ok := cfg.IncrementStep(code, inc, s)
 			if !ok || st != step {
 				continue
 			}
@@ -124,7 +126,10 @@ func (lw *lowerer) incDominates(outer *stlCtx, s int, head int) bool {
 				}
 			}
 			if dominating {
-				return lw.g.Dominates(b, head)
+				if b == at {
+					return inc < pc
+				}
+				return lw.g.Dominates(b, at)
 			}
 		}
 	}
@@ -207,7 +212,7 @@ func (lw *lowerer) emitSTLPrologue(ctx *stlCtx) {
 				b.OpImm(isa.ADDI, isa.AT, isa.T0, 1)
 				for _, s := range sortedKeys(outer.resetAt) {
 					base := isa.T0
-					if lw.incDominates(outer, s, ctx.loop.Header) {
+					if lw.incDominates(outer, s, lw.g.Blocks[ctx.loop.Header].Start) {
 						base = isa.AT
 					}
 					b.Sw(base, isa.FP, outer.resetAt[s])
@@ -366,16 +371,22 @@ func (lw *lowerer) emitSignal(ctx *stlCtx, slot int) {
 }
 
 // emitResetComm implements the forced communication of a resetable inductor
-// reset (§4.2.3): the new value is written to the home slot and the next
-// iteration index becomes the new base, violating and restarting every
-// later speculative thread so they recompute from the updated base.
-func (lw *lowerer) emitResetComm(ctx *stlCtx, slot int) {
+// reset at bytecode pc (§4.2.3): the new value is written to the home slot
+// and becomes the start-of-iteration value of a new base iteration,
+// violating and restarting every later speculative thread so they
+// recompute from the updated base. If the increment has already run in
+// this iteration, the value is where the next iteration starts, so the
+// base is the iteration + 1; otherwise the increment is still to come, and
+// the value stands for the start of this iteration.
+func (lw *lowerer) emitResetComm(ctx *stlCtx, slot int, pc int) {
 	b := lw.b
 	r := lw.place.reg[slot]
 	b.Sw(r, isa.FP, int64(slot))
 	t := lw.freshTemp()
 	b.Emit(isa.Instr{Op: isa.MFC2, Rd: t, Imm: isa.CP2Iteration})
-	b.OpImm(isa.ADDI, t, t, 1)
+	if lw.incDominates(ctx, slot, pc) {
+		b.OpImm(isa.ADDI, t, t, 1)
+	}
 	b.Sw(t, isa.FP, ctx.resetAt[slot])
 	lw.freeTemp(t)
 }

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 )
 
 // Addr is a word address.
@@ -69,6 +70,8 @@ func Line(a Addr) Addr { return a / LineWords }
 // and heap, the high region the runtime stack filling top-down) bound the
 // spans a snapshot captures.
 type Memory struct {
+	// words is Fixed RAM: a method whose last use of m is an access to
+	// words ends with runtime.KeepAlive(m).
 	words []int64
 	dirty []byte // one flag per page of pageWords words, set by every write
 	split Addr   // boundary between the low and high dirty regions
@@ -88,12 +91,13 @@ func NewMemory(size int) *Memory { return NewSplitMemory(size, Addr(size)) }
 // NewSplitMemory returns a zeroed memory of size words whose snapshot spans
 // divide at split (typically the base of the stack region).
 func NewSplitMemory(size int, split Addr) *Memory {
-	return &Memory{
-		words: make([]int64, size),
+	m := &Memory{
 		dirty: make([]byte, (size+pageWords-1)>>pageShift),
 		split: split,
 		hiMin: Addr(size),
 	}
+	m.words = Fixed[int64](m, size)
+	return m
 }
 
 // Reset zeroes every page written since the memory was built or last reset
@@ -143,7 +147,9 @@ func (m *Memory) Read(a Addr) int64 {
 	if int(a) >= len(m.words) {
 		panic(&Fault{Addr: a, Size: len(m.words)})
 	}
-	return m.words[a]
+	v := m.words[a]
+	runtime.KeepAlive(m)
+	return v
 }
 
 // Write stores v at a. Out-of-range panics with a typed *Fault, as Read.

@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // State is a deterministic capture of a Memory's observable contents: the
 // dirty-watermark spans on either side of the split, copied verbatim. Words
@@ -28,6 +31,7 @@ func (m *Memory) CaptureState() State {
 	}
 	st.Low = append([]int64(nil), m.words[:m.loMax]...)
 	st.High = append([]int64(nil), m.words[m.hiMin:]...)
+	runtime.KeepAlive(m)
 	return st
 }
 

@@ -2,45 +2,21 @@ package serve
 
 import "sync"
 
-// BreakerConfig parameterizes the per-workload circuit breaker. The breaker
-// is the service-level analogue of the tls.Guard violation-storm guard and
-// reuses its schedule: a workload that fails Trip consecutive jobs is
-// "decertified" (the circuit opens), the next Backoff submissions are shed
-// without consuming simulation capacity, then exactly one probe job is
-// admitted. A successful probe closes the circuit; a failed probe doubles
-// the backoff up to MaxBackoff, exactly like the guard's re-probe schedule.
+// The per-workload circuit breaker is the service-level analogue of the
+// tls.Guard violation-storm guard and reuses its schedule: a workload that
+// fails breakerTrip consecutive jobs is "decertified" (the circuit opens),
+// the next breakerBackoff submissions are shed without consuming simulation
+// capacity, then exactly one probe job is admitted. A successful probe
+// closes the circuit; a failed probe doubles the backoff up to
+// breakerMaxBackoff, exactly like the guard's re-probe schedule.
 //
 // The schedule is counted in submissions, not wall-clock time, so breaker
 // behaviour is deterministic under test and under replay.
-type BreakerConfig struct {
-	// Trip is the number of consecutive job failures that open the circuit
-	// (<=0 = default 3).
-	Trip int
-	// Backoff is the number of shed submissions before the first probe; it
-	// doubles after every failed probe (<=0 = default 4).
-	Backoff int64
-	// MaxBackoff caps the doubling (<=0 = default 64).
-	MaxBackoff int64
-}
-
-// DefaultBreakerConfig mirrors the guard's default shape at service scale.
-func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{Trip: 3, Backoff: 4, MaxBackoff: 64}
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	d := DefaultBreakerConfig()
-	if c.Trip <= 0 {
-		c.Trip = d.Trip
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = d.Backoff
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = d.MaxBackoff
-	}
-	return c
-}
+const (
+	breakerTrip       = 3  // consecutive job failures that open the circuit
+	breakerBackoff    = 4  // shed submissions before the first probe
+	breakerMaxBackoff = 64 // cap on the doubling backoff
+)
 
 // BreakerStats is one workload key's breaker state, exposed for reporting.
 type BreakerStats struct {
@@ -54,13 +30,10 @@ type BreakerStats struct {
 	Recloses  int64  `json:"recloses"`
 }
 
-// Breaker tracks one key — a workload on `jrpm serve`, a replica shard on the
-// fleet router. It is exported so the fleet layer reuses the same tested
-// schedule per shard. Calls are serialized by the server's
+// breaker tracks one workload key. Calls are serialized by the server's
 // submit path and the worker completion path, so it carries its own lock.
-type Breaker struct {
-	mu  sync.Mutex
-	cfg BreakerConfig
+type breaker struct {
+	mu sync.Mutex
 
 	BreakerStats
 	streak  int   // consecutive failures while closed
@@ -69,8 +42,8 @@ type Breaker struct {
 	probing bool  // one probe job is in flight
 }
 
-func NewBreaker(key string, cfg BreakerConfig) *Breaker {
-	b := &Breaker{cfg: cfg.withDefaults()}
+func newBreaker(key string) *breaker {
+	b := &breaker{}
 	b.Key = key
 	return b
 }
@@ -79,7 +52,7 @@ func NewBreaker(key string, cfg BreakerConfig) *Breaker {
 // While open, submissions are shed until the backoff expires; then exactly
 // one probe is admitted (subsequent submissions shed until the probe
 // resolves).
-func (b *Breaker) Admit() bool {
+func (b *breaker) Admit() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.Open {
@@ -102,7 +75,7 @@ func (b *Breaker) Admit() bool {
 // OnResult records a finished job for this key. Cancellations are neutral:
 // they resolve a probe (so the circuit does not stay wedged behind a probe
 // job the client abandoned) but neither trip nor close the circuit.
-func (b *Breaker) OnResult(success, cancelled bool) {
+func (b *breaker) OnResult(success, cancelled bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if cancelled {
@@ -126,25 +99,22 @@ func (b *Breaker) OnResult(success, cancelled bool) {
 	if b.Open {
 		// Failed probe (or a straggler failure while open): back off harder.
 		b.probing = false
-		b.backoff *= 2
-		if b.backoff > b.cfg.MaxBackoff {
-			b.backoff = b.cfg.MaxBackoff
-		}
+		b.backoff = min(2*b.backoff, breakerMaxBackoff)
 		b.wait = b.backoff
 		return
 	}
 	b.streak++
-	if b.streak >= b.cfg.Trip {
+	if b.streak >= breakerTrip {
 		b.Open = true
 		b.Trips++
-		b.backoff = b.cfg.Backoff
+		b.backoff = breakerBackoff
 		b.wait = b.backoff
 		b.probing = false
 	}
 }
 
 // Stats snapshots the breaker state.
-func (b *Breaker) Stats() BreakerStats {
+func (b *breaker) Stats() BreakerStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.BreakerStats
@@ -153,7 +123,7 @@ func (b *Breaker) Stats() BreakerStats {
 // RetryAfterSubmissions estimates how many more submissions will be shed
 // before a probe is admitted (0 when closed or probe-ready). The HTTP layer
 // maps it to a Retry-After hint.
-func (b *Breaker) RetryAfterSubmissions() int64 {
+func (b *breaker) RetryAfterSubmissions() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.Open {

@@ -112,6 +112,16 @@ func waitForJournalCheckpoint(t *testing.T, dir string, id int64) {
 	t.Fatalf("no durable checkpoint for job %d within deadline", id)
 }
 
+// requireNoCheckpointFallback fails the test when s restarted a job from
+// its program because a checkpoint was unusable. The restart is
+// bit-identical, so only this counter tells it from a real resume.
+func requireNoCheckpointFallback(t *testing.T, s *Server) {
+	t.Helper()
+	if n := s.Metrics().Counter("jrpm_serve_checkpoint_fallbacks_total").Value(); n != 0 {
+		t.Fatalf("jrpm_serve_checkpoint_fallbacks_total = %d, want 0", n)
+	}
+}
+
 // TestDurableCrashRecoveryResumesMidRun is the crash-durability property end
 // to end: snapshot the data dir while the job is mid-run (exactly what a
 // kill -9 leaves), replay it in a second server, and require the recovered
@@ -171,6 +181,8 @@ func TestDurableCrashRecoveryResumesMidRun(t *testing.T) {
 	if !bytes.Equal(gotWire, refWire) {
 		t.Fatalf("recovered result diverged from undisturbed run (%d vs %d bytes)", len(gotWire), len(refWire))
 	}
+	requireNoCheckpointFallback(t, sA)
+	requireNoCheckpointFallback(t, sB)
 }
 
 // TestDurableRestoresFinishedJobs reopens a data dir after a clean shutdown:
@@ -299,6 +311,8 @@ func TestDurableShutdownReenqueuesForcedJobs(t *testing.T) {
 	if !bytes.Equal(gotWire, refWire) {
 		t.Fatal("resumed-after-shutdown result diverged from a fresh run")
 	}
+	requireNoCheckpointFallback(t, s1)
+	requireNoCheckpointFallback(t, s2)
 }
 
 // TestJournalTornTailTolerated: a partial trailing record (crash mid-append)

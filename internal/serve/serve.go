@@ -57,8 +57,6 @@ type Config struct {
 	MaxCycles int64
 	// MaxNCPU caps the simulated CPUs a job may request (default 8).
 	MaxNCPU int
-	// Breaker configures the per-workload circuit breaker.
-	Breaker BreakerConfig
 	// TraceCapacity is the flight-recorder ring capacity for jobs that
 	// request a trace (default 1<<18 events).
 	TraceCapacity int
@@ -140,7 +138,7 @@ type Server struct {
 	draining bool
 	jobs     map[int64]*job
 	finished []int64 // terminal job ids, oldest first, for bounded retention
-	breakers map[string]*Breaker
+	breakers map[string]*breaker
 	queue    chan *job
 
 	nextID  atomic.Int64
@@ -159,7 +157,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      obs.NewRegistry(),
 		jobs:     make(map[int64]*job),
-		breakers: make(map[string]*Breaker),
+		breakers: make(map[string]*breaker),
 		queue:    make(chan *job, cfg.QueueDepth),
 	}
 }
@@ -334,12 +332,12 @@ func breakerKey(spec JobSpec) string {
 }
 
 // breakerFor returns (creating on first use) the breaker for a key.
-func (s *Server) breakerFor(key string) *Breaker {
+func (s *Server) breakerFor(key string) *breaker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.breakers[key]
 	if b == nil {
-		b = NewBreaker(key, s.cfg.Breaker)
+		b = newBreaker(key)
 		s.breakers[key] = b
 	}
 	return b
@@ -513,7 +511,7 @@ func (s *Server) Jobs() []JobView {
 // Breakers lists per-workload circuit-breaker states, sorted by key.
 func (s *Server) Breakers() []BreakerStats {
 	s.mu.Lock()
-	bs := make([]*Breaker, 0, len(s.breakers))
+	bs := make([]*breaker, 0, len(s.breakers))
 	for _, b := range s.breakers {
 		bs = append(bs, b)
 	}

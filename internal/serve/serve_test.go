@@ -19,7 +19,6 @@ func newTestServer(t *testing.T, mutate func(*Config)) *Server {
 		Workers:         2,
 		QueueDepth:      8,
 		DefaultDeadline: 30 * time.Second,
-		Breaker:         BreakerConfig{Trip: 2, Backoff: 2, MaxBackoff: 8},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -248,16 +247,16 @@ func TestBreakerTripsAndReprobes(t *testing.T) {
 	failing := scripted(func(rung Rung) (*core.Result, error) {
 		return nil, errors.New("deterministic failure")
 	})
-	// Trip=2: two failed jobs open the circuit.
-	for i := 0; i < 2; i++ {
+	// breakerTrip (3) failed jobs open the circuit.
+	for i := 0; i < breakerTrip; i++ {
 		v, err := s.Submit(failing)
 		if err != nil {
 			t.Fatalf("submission %d: %v", i, err)
 		}
 		waitDone(t, s, v.ID)
 	}
-	// Backoff=2 submissions shed, then exactly one probe admitted.
-	for i := 0; i < 2; i++ {
+	// breakerBackoff (4) submissions shed, then exactly one probe admitted.
+	for i := 0; i < breakerBackoff; i++ {
 		if _, err := s.Submit(failing); !errors.Is(err, ErrCircuitOpen) {
 			t.Fatalf("shed %d: err = %v, want ErrCircuitOpen", i, err)
 		}
@@ -280,7 +279,7 @@ func TestBreakerTripsAndReprobes(t *testing.T) {
 		t.Fatalf("breakers = %+v, want one key", stats)
 	}
 	st := stats[0]
-	if st.Open || st.Trips != 1 || st.Probes != 1 || st.Recloses != 1 || st.Shed != 2 {
+	if st.Open || st.Trips != 1 || st.Probes != 1 || st.Recloses != 1 || st.Shed != breakerBackoff {
 		t.Fatalf("breaker stats = %+v", st)
 	}
 }

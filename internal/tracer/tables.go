@@ -17,7 +17,11 @@
 // per-access record path allocates.
 package tracer
 
-import "jrpm/internal/mem"
+import (
+	"runtime"
+
+	"jrpm/internal/mem"
+)
 
 // PaperComparatorBanks is the number of TEST comparator banks (paper §3,
 // Figure 2): eight banks cover typical loop-nest depths. DefaultConfig and
@@ -33,14 +37,18 @@ const (
 	tsGenMax  = 1 << (64 - tsValBits)
 )
 
-// tsSlab is one flat generation-tagged timestamp table.
+// tsSlab is one flat generation-tagged timestamp table. entries is
+// mem.Fixed RAM: a method whose last use of s is an access to entries ends
+// with runtime.KeepAlive(s).
 type tsSlab struct {
 	entries []uint64
 	gen     uint64
 }
 
 func newSlab(size int) *tsSlab {
-	return &tsSlab{entries: make([]uint64, size), gen: 1}
+	s := &tsSlab{gen: 1}
+	s.entries = mem.Fixed[uint64](s, size)
+	return s
 }
 
 // reset empties the slab by generation bump, physically clearing it only
@@ -89,6 +97,7 @@ func (s *tsSlab) setRaw(i int, v int64) {
 	if uint(i) < uint(len(s.entries)) {
 		s.entries[i] = s.gen<<tsValBits | uint64(v)&tsValMask
 	}
+	runtime.KeepAlive(s)
 }
 
 // getRaw returns the stored value, zero when the entry is stale or unset.
@@ -97,7 +106,9 @@ func (s *tsSlab) getRaw(i int) int64 {
 		return 0
 	}
 	e := s.entries[i]
-	if e>>tsValBits != s.gen {
+	gen := s.gen
+	runtime.KeepAlive(s)
+	if e>>tsValBits != gen {
 		return 0
 	}
 	return int64(e & tsValMask)
