@@ -39,7 +39,7 @@ import (
 // Version is the current wire-format version. Bump it on any change to the
 // encoded shape of programs, options or results; decoders reject every
 // other version with ErrCodecVersion.
-const Version = 2
+const Version = 3
 
 // magic brands every codec envelope.
 var magic = [4]byte{'J', 'R', 'P', 'C'}

@@ -181,6 +181,10 @@ func encTier(e *enc, t *hydra.TierStats) {
 	for _, v := range t.Demote {
 		e.i64(v)
 	}
+	e.i64(t.SpecStretches)
+	e.i64(t.SpecStretchInstrs)
+	e.i64(t.SpecSleeps)
+	e.i64(t.SpecRewinds)
 }
 
 func decTier(d *dec, t *hydra.TierStats) {
@@ -198,6 +202,10 @@ func decTier(d *dec, t *hydra.TierStats) {
 	for i := 0; i < n && d.err == nil; i++ {
 		t.Demote[i] = d.i64()
 	}
+	t.SpecStretches = d.i64()
+	t.SpecStretchInstrs = d.i64()
+	t.SpecSleeps = d.i64()
+	t.SpecRewinds = d.i64()
 }
 
 // encI64Map emits an int64-keyed map in ascending key order; nil and empty

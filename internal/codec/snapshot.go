@@ -124,7 +124,7 @@ func encSnapshot(e *enc, s *hydra.MachineSnapshot) {
 	for i := range s.Guard {
 		encGuardLoopState(e, &s.Guard[i])
 	}
-	encTierStats(e, &s.Tier)
+	encTier(e, &s.Tier)
 	e.bool(s.T2 != nil)
 	if s.T2 != nil {
 		encTierCache(e, s.T2)
@@ -168,7 +168,7 @@ func decSnapshot(d *dec) *hydra.MachineSnapshot {
 			decGuardLoopState(d, &s.Guard[i])
 		}
 	}
-	decTierStats(d, &s.Tier)
+	decTier(d, &s.Tier)
 	if d.bool() {
 		s.T2 = decTierCache(d)
 	}
@@ -370,36 +370,6 @@ func decGuardLoopState(d *dec, g *tls.GuardLoopState) {
 	g.Backoff = d.i64()
 	g.Wait = d.i64()
 	g.Probing = d.bool()
-}
-
-func encTierStats(e *enc, t *hydra.TierStats) {
-	e.i64(t.Promotions)
-	e.i64(t.BlocksCompiled)
-	e.i64(t.CacheHits)
-	e.i64(t.CacheMisses)
-	e.i64(t.Linked)
-	e.i64(t.InterpSteps)
-	e.u64(uint64(len(t.Demote)))
-	for _, v := range t.Demote {
-		e.i64(v)
-	}
-}
-
-func decTierStats(d *dec, t *hydra.TierStats) {
-	t.Promotions = d.i64()
-	t.BlocksCompiled = d.i64()
-	t.CacheHits = d.i64()
-	t.CacheMisses = d.i64()
-	t.Linked = d.i64()
-	t.InterpSteps = d.i64()
-	n := d.count(1)
-	if d.err == nil && n != len(t.Demote) {
-		d.fail(ErrCorrupt, "demote-reason count %d, want %d", n, len(t.Demote))
-		return
-	}
-	for i := 0; i < n && i < len(t.Demote); i++ {
-		t.Demote[i] = d.i64()
-	}
 }
 
 func encTierCache(e *enc, t *hydra.TierCacheSnapshot) {

@@ -72,6 +72,10 @@ func (p *Phase) FillMetrics(reg *obs.Registry, labels string) {
 	add("jrpm_tier_cache_misses_total", p.Tier.CacheMisses)
 	add("jrpm_tier_links_total", p.Tier.Linked)
 	add("jrpm_tier_interp_steps_total", p.Tier.InterpSteps)
+	add("jrpm_tier_spec_stretches_total", p.Tier.SpecStretches)
+	add("jrpm_tier_spec_stretch_instructions_total", p.Tier.SpecStretchInstrs)
+	add("jrpm_tier_spec_sleeps_total", p.Tier.SpecSleeps)
+	add("jrpm_tier_spec_rewinds_total", p.Tier.SpecRewinds)
 	for r := hydra.DemoteReason(0); r < hydra.NumDemoteReasons; r++ {
 		if v := p.Tier.Demote[r]; v != 0 {
 			reg.Counter(obs.Name("jrpm_tier_demotions_total",

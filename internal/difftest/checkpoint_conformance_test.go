@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"runtime"
+	"sync"
 	"testing"
 
 	"jrpm/internal/codec"
@@ -28,12 +30,27 @@ import (
 // the three it resumes from: a first capture run counts the safepoints, and
 // a second, identical one keeps the sampled ones. At most
 // ckptConformanceParallel workloads run at once, whatever -parallel says.
+// The live Go heap, sampled wherever checkpoints are held, must stay under
+// ckptConformanceHeapCeiling in the default mode.
 func TestCheckpointConformance(t *testing.T) {
 	exhaustive := os.Getenv("JRPM_CKPT_EXHAUSTIVE") == "1"
 	ws := workloads.All()
 	if testing.Short() {
 		ws = ws[:8]
 	}
+	var peak heapPeak
+	ceiling := uint64(ckptConformanceHeapCeiling)
+	overCeiling := func(t *testing.T, where string) bool {
+		if exhaustive {
+			return false
+		}
+		if live := peak.sample(); live > ceiling {
+			t.Errorf("%s: live Go heap %d MiB exceeds the %d MiB ceiling", where, live>>20, ceiling>>20)
+			return true
+		}
+		return false
+	}
+	t.Cleanup(func() { t.Logf("peak live Go heap: %d MiB", peak.max>>20) })
 	slots := make(chan struct{}, ckptConformanceParallel)
 	for _, w := range ws {
 		w := w
@@ -57,10 +74,14 @@ func TestCheckpointConformance(t *testing.T) {
 			// delivered checkpoints (numbered from 1) to retain.
 			capture := func(keep func(seq int64) bool) (n int64, kept []*core.Checkpoint) {
 				cc := &core.CheckpointController{Stride: 2048}
+				full := false
 				cc.OnCheckpoint = func(cp *core.Checkpoint, seq int64) {
 					n = seq
-					if keep(seq) {
+					if keep(seq) && !full {
 						kept = append(kept, cp)
+						// Check the heap as kept checkpoints pile up, so a
+						// mode that keeps too many fails here, not by OOM.
+						full = len(kept)%8 == 0 && overCeiling(t, "capture")
 					}
 					cc.Request()
 				}
@@ -88,6 +109,7 @@ func TestCheckpointConformance(t *testing.T) {
 					t.Fatalf("capture runs disagree: %d then %d checkpoints", n, again)
 				}
 			}
+			overCeiling(t, "captured")
 			for i, cp := range sample {
 				res, err := core.ResumeTLS(w.Build(), opts, cp)
 				if err != nil {
@@ -105,6 +127,7 @@ func TestCheckpointConformance(t *testing.T) {
 					t.Errorf("resume %d (stage %s, clock %d): wire result differs from straight run (%d vs %d bytes)",
 						i, cp.Stage, cp.Machine.Clock, len(got), len(refWire))
 				}
+				overCeiling(t, "resumed")
 			}
 			if exhaustive {
 				t.Logf("%s: %d safepoints resumed bit-identically", w.Name, len(sample))
@@ -117,6 +140,30 @@ func TestCheckpointConformance(t *testing.T) {
 // workloads run at once (each holds up to three checkpoints plus the
 // machines of a resumed pipeline).
 const ckptConformanceParallel = 2
+
+// ckptConformanceHeapCeiling bounds the live Go heap of the default mode,
+// about 1.5x its measured peak (CHANGES.md records the measurement).
+const ckptConformanceHeapCeiling = 432 << 20
+
+// heapPeak records the largest live Go heap seen by sample.
+type heapPeak struct {
+	mu  sync.Mutex
+	max uint64
+}
+
+// sample collects garbage, so the reading is the live heap rather than a
+// point in the collector's cycle, and returns the live heap in bytes.
+func (h *heapPeak) sample() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	h.mu.Lock()
+	if ms.HeapAlloc > h.max {
+		h.max = ms.HeapAlloc
+	}
+	h.mu.Unlock()
+	return ms.HeapAlloc
+}
 
 // TestCheckpointStageCoverage asserts the capture machinery sees both
 // pipeline stages on at least one workload — a conformance suite that only

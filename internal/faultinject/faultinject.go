@@ -206,11 +206,10 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// decide draws the next decision on channel c.
+// decide draws the next decision on channel c. j must be non-nil: the
+// exported wrappers below test for nil themselves, so they inline and the
+// disabled injector costs a nil compare at each call site, never a call.
 func (j *Injector) decide(c Channel) bool {
-	if j == nil {
-		return false
-	}
 	rate := j.plan.rate(c)
 	if rate <= 0 {
 		return false
@@ -226,15 +225,26 @@ func (j *Injector) decide(c Channel) bool {
 
 // SpuriousRAW reports whether a spurious RAW violation fires at this
 // speculative instruction.
-func (j *Injector) SpuriousRAW() bool { return j.decide(ChRAW) }
+func (j *Injector) SpuriousRAW() bool { return j != nil && j.decide(ChRAW) }
 
 // OverflowPressure reports whether spurious buffer-capacity pressure fires
 // at this overflow query.
-func (j *Injector) OverflowPressure() bool { return j.decide(ChOverflow) }
+func (j *Injector) OverflowPressure() bool { return j != nil && j.decide(ChOverflow) }
 
 // BusDelayCycles returns extra write-bus arbitration cycles for this
 // speculative store (0 when the channel does not fire).
 func (j *Injector) BusDelayCycles() int64 {
+	if j == nil {
+		return 0
+	}
+	return j.busDelay()
+}
+
+// busDelay is BusDelayCycles for a non-nil injector, kept out of line so the
+// wrapper stays within the inliner's budget.
+//
+//go:noinline
+func (j *Injector) busDelay() int64 {
 	if j.decide(ChBus) {
 		d := j.plan.BusDelay
 		if d <= 0 {
@@ -247,10 +257,10 @@ func (j *Injector) BusDelayCycles() int64 {
 
 // HeapExhausted reports whether this allocation spuriously fails, forcing
 // the garbage-collection-at-head path.
-func (j *Injector) HeapExhausted() bool { return j.decide(ChHeap) }
+func (j *Injector) HeapExhausted() bool { return j != nil && j.decide(ChHeap) }
 
 // JITFailure reports whether this method lowering spuriously fails.
-func (j *Injector) JITFailure() bool { return j.decide(ChJIT) }
+func (j *Injector) JITFailure() bool { return j != nil && j.decide(ChJIT) }
 
 // Fired returns per-channel counts of faults that actually fired.
 func (j *Injector) Fired() map[string]int64 {

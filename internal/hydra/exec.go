@@ -455,28 +455,35 @@ func (m *Machine) exec(c *CPU) {
 		m.TLS.ChargeAttemptDiag(c.ID, tls.ChargeRun, total)
 	}
 	if c.overflowPending && m.TLS.Active() {
+		m.overflowed(c)
+	}
+}
+
+// overflowed handles a speculative buffer overflow raised by the instruction
+// c just completed: the head drains its buffer in place, any other thread
+// parks until it becomes the head.
+func (m *Machine) overflowed(c *CPU) {
+	if m.rec != nil {
+		kind := obs.EvLoadOverflow
+		if m.TLS.StoreOverflow(c.ID) {
+			kind = obs.EvStoreOverflow
+		}
+		m.record(kind, c.ID, m.TLS.Iteration(c.ID), m.stlLoopID())
+	}
+	if m.TLS.IsHead(c.ID) {
+		newEpisode, err := m.TLS.DrainOverflow(c.ID)
+		if err != nil {
+			m.fail(err)
+			return
+		}
+		m.noteOverflow(newEpisode)
+		c.overflowPending = false
 		if m.rec != nil {
-			kind := obs.EvLoadOverflow
-			if m.TLS.StoreOverflow(c.ID) {
-				kind = obs.EvStoreOverflow
-			}
-			m.record(kind, c.ID, m.TLS.Iteration(c.ID), m.stlLoopID())
+			m.record(obs.EvOverflowDrain, c.ID, m.TLS.Iteration(c.ID), m.stlLoopID())
 		}
-		if m.TLS.IsHead(c.ID) {
-			newEpisode, err := m.TLS.DrainOverflow(c.ID)
-			if err != nil {
-				m.fail(err)
-				return
-			}
-			m.noteOverflow(newEpisode)
-			c.overflowPending = false
-			if m.rec != nil {
-				m.record(obs.EvOverflowDrain, c.ID, m.TLS.Iteration(c.ID), m.stlLoopID())
-			}
-		} else {
-			c.state = stateWaitOverflow
-			m.recWait(c, obs.WaitOverflow)
-		}
+	} else {
+		c.state = stateWaitOverflow
+		m.recWait(c, obs.WaitOverflow)
 	}
 }
 

@@ -55,7 +55,12 @@ type CPU struct {
 	frames  []frame
 	state   cpuState
 	readyAt int64
-	snap    snapshot
+	// asleep marks a CPU the event-driven scheduler (spec.go) has put to
+	// sleep until headship; it is charged sleepKind wait cycles from
+	// readyAt on.
+	asleep    bool
+	sleepKind tls.ChargeKind
+	snap      snapshot
 
 	pendingExKind   int64
 	pendingExRef    int64
@@ -65,6 +70,12 @@ type CPU struct {
 	gcAttempts      int // consecutive collections for the same allocation
 
 	extra int64 // memory/runtime cycles accumulated by the current instruction
+
+	// The stretch the CPU ran ahead of the clock (spec.go), and the
+	// stretch-block table of method specMid, cached for lookupSpec.
+	sx      stretch
+	specMid int
+	specTab []*t2block
 }
 
 // exKindMemFault is the pendingExKind sentinel for a deferred out-of-range
@@ -110,11 +121,13 @@ type Options struct {
 	// the tls unit.
 	Ledger *obs.Ledger
 
-	// Tier2Off disables the tier-2 block engine, forcing every instruction
-	// through the cycle-accurate interpreter. The engine changes host ns/op
-	// only — cycles, traces, and outputs are bit-identical either way — so
-	// the zero value (enabled) is right for everything except equivalence
-	// testing and benchmarking the interpreter itself. The engine also
+	// Tier2Off disables the tier-2 block engine and with it the event-driven
+	// speculative scheduler (spec.go), forcing every instruction through the
+	// cycle-accurate interpreter and the per-cycle reference scheduler in
+	// Run. The engine changes host ns/op only — cycles, traces, and outputs
+	// are bit-identical either way — so the zero value (enabled) is right
+	// for everything except equivalence testing and benchmarking the
+	// interpreter itself. The engine also
 	// self-disables while a Recorder or fault Plan is attached, since both
 	// observe or perturb per-instruction events.
 	Tier2Off bool
@@ -201,6 +214,17 @@ type Machine struct {
 	t2cyc  int64
 	Tier   TierStats
 
+	// Event-driven speculative scheduler state (spec.go), live while t2 is
+	// on: actor is the CPU being stepped (-1 between steps), nsleep counts
+	// sleeping CPUs, resched marks a pass that changed a CPU it had already
+	// visited, budget is Run's cycle budget and rewindOp is settle's
+	// scratch op.
+	actor    int
+	nsleep   int
+	resched  bool
+	budget   int64
+	rewindOp t2op
+
 	// Cancellation state: ctxDone is nil when no context is attached (the
 	// hot-path check then short-circuits on one nil compare). nextCtxCheck
 	// is the simulated cycle of the next Done poll.
@@ -266,6 +290,7 @@ func NewMachine(img *Image, rt Runtime, opts Options) *Machine {
 	}
 	if !opts.Tier2Off && opts.Recorder == nil && opts.Faults == nil {
 		m.t2 = hw.t2
+		m.TLS.SetSettle(m.settleCPU)
 	}
 	if opts.Ledger != nil {
 		m.led = opts.Ledger
@@ -369,6 +394,10 @@ func (m *Machine) Injector() *faultinject.Injector { return m.inj }
 // terminations surface as typed errors (see errors.go); a panic escaping the
 // simulator core is itself a bug, but the recover backstop converts it to
 // ErrInternal rather than crash the embedding process.
+//
+// With the tier-2 engine on, the event-driven scheduler in spec.go runs the
+// machine. Otherwise the loop below is the reference: it polls every CPU and
+// interprets every instruction on its own cycle.
 func (m *Machine) Run(maxCycles int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -376,6 +405,9 @@ func (m *Machine) Run(maxCycles int64) (err error) {
 				m.fail(fmt.Errorf("%w: unguarded memory access: %v", ErrInternal, f))
 			} else {
 				m.fail(fmt.Errorf("%w: panic: %v", ErrInternal, r))
+			}
+			if m.t2 != nil {
+				m.settleAll()
 			}
 			err = m.err
 		}
@@ -385,6 +417,11 @@ func (m *Machine) Run(maxCycles int64) (err error) {
 	// explicit flag, not on CPU 0's state.
 	if !m.booted && !m.halted {
 		m.Boot()
+	}
+	if m.t2 != nil {
+		m.runEvents(maxCycles)
+		m.settleAll()
+		return m.err
 	}
 	for !m.halted {
 		next := int64(math.MaxInt64)
@@ -420,13 +457,6 @@ func (m *Machine) Run(maxCycles int64) (err error) {
 		// flips TLS.Active and falls back to the general scheduler; clock
 		// advance and budget semantics are identical to the outer loop.
 		if active == 1 && solo.state == stateRunning && !m.TLS.Active() {
-			if m.t2 != nil {
-				// Tier-2 promotion: the block engine owns the serial phase
-				// until something demotes it (see tier2.go). Budget and
-				// cancellation failures halt the machine from inside.
-				m.runTier2(solo, maxCycles)
-				continue
-			}
 			c := solo
 			for !m.halted && c.state == stateRunning && !m.TLS.Active() {
 				if c.readyAt > m.Clock {
@@ -599,6 +629,9 @@ func (m *Machine) commitEOI(c *CPU) {
 		m.record(obs.EvThreadSpawn, c.ID, m.TLS.Iteration(c.ID), loopID)
 	}
 	m.stormCount = 0
+	if m.nsleep > 0 {
+		m.wakeHead()
+	}
 	// Solo commits are sequential execution, not evidence of speculative
 	// health — feeding them to the guard would re-certify a thrashing loop
 	// the moment it was demoted.
@@ -700,14 +733,29 @@ func (m *Machine) wait(c *CPU) { m.waitAs(c, tls.ChargeWait) }
 
 // waitAs is wait with an explicit charge kind, so overflow-stall parking is
 // distinguishable from ordinary commit waiting in the doctor's ledger (both
-// land in the same StateStats wait counter).
+// land in the same StateStats wait counter). Under the event-driven
+// scheduler the CPU then sleeps instead of re-polling: settle charges the
+// cycles it would have polled when a head change, violation or kill wakes
+// it.
 func (m *Machine) waitAs(c *CPU, kind tls.ChargeKind) {
-	if m.led == nil {
-		m.TLS.ChargeAttempt(c.ID, kind, 1)
-	} else {
-		m.TLS.ChargeAttemptDiag(c.ID, kind, 1)
-	}
+	m.charge(c, kind, 1)
 	c.readyAt = m.Clock + 1
+	if m.t2 != nil {
+		c.asleep, c.sleepKind = true, kind
+		m.nsleep++
+		m.Tier.SpecSleeps++
+	}
+}
+
+// charge adds cycles of the given kind to c's current attempt (or to the
+// serial bucket outside speculation), mirrored into the ledger when one is
+// attached.
+func (m *Machine) charge(c *CPU, kind tls.ChargeKind, cycles int64) {
+	if m.led == nil {
+		m.TLS.ChargeAttempt(c.ID, kind, cycles)
+	} else {
+		m.TLS.ChargeAttemptDiag(c.ID, kind, cycles)
+	}
 }
 
 // record emits one flight-recorder event. Callers must have checked
@@ -1042,6 +1090,7 @@ func (m *Machine) pendingSwitchID(c *CPU) int64 {
 // them at pc. sw marks a multilevel-switch redeploy, which the ledger
 // attributes to the switch bucket rather than startup.
 func (m *Machine) deploySlaves(c *CPU, pc int, cost int64, sw bool) {
+	m.resched = true
 	for _, sc := range m.CPUs {
 		if sc.ID == c.ID {
 			continue

@@ -429,19 +429,13 @@ func (m *Machine) restoreTier2(ts *TierCacheSnapshot) error {
 		tm := &t.methods[mid]
 		code := m.Image.Method(mid).Code
 		tm.gen = t.gen
-		if cap(tm.blocks) < len(code) {
-			tm.blocks = make([]*t2block, len(code))
-		} else {
-			tm.blocks = tm.blocks[:len(code)]
-			for i := range tm.blocks {
-				tm.blocks[i] = nil
-			}
-		}
+		tm.blocks = clearBlocks(tm.blocks, len(code))
+		tm.spec = tm.spec[:0]
 		for _, bs := range ms.Blocks {
 			if bs.Entry < 0 || int(bs.Entry) >= len(code) {
 				return fmt.Errorf("hydra: restore: tier-2 block entry %d out of range for method %d", bs.Entry, mid)
 			}
-			tm.blocks[bs.Entry] = t.compile(code, int(bs.Entry))
+			tm.blocks[bs.Entry] = t.compile(code, int(bs.Entry), false)
 		}
 		for _, bs := range ms.Blocks {
 			b := tm.blocks[bs.Entry]

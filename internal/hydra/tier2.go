@@ -12,16 +12,21 @@ import (
 // The cycle-accurate interpreter (exec.go) dispatches one instruction per
 // Machine.exec call through a ~300-case switch; profiles show that dispatch —
 // not simulation semantics — dominates every serial phase. The tier-2 engine
-// removes it for the serial fast loop only: straight-line runs of fusable
-// instructions (see isa.Traits) are decoded once into arrays of fused ops
-// with direct handler function pointers, a per-block summed static cycle
+// removes it in two places. In the serial fast loop, straight-line runs of
+// fusable instructions (see isa.Traits) are decoded once into arrays of fused
+// ops with direct handler function pointers, a per-block summed static cycle
 // cost, and memory ops still routed through loadWord/storeWord so cache
-// latency, tracer hooks, and fault semantics are untouched.
+// latency, tracer hooks, and fault semantics are untouched. In the
+// speculative leg, the event-driven scheduler (spec.go) runs each CPU's
+// register-only stretches on stretch blocks: the same ops, cut at the first
+// instruction that reaches outside the CPU (t2RegOnly).
 //
 // Exactness contract: every observable of a run — Clock at every memory
-// access, trap, fault, poll, and budget edge; Instructions; Stats.Serial;
-// cache state; tracer timestamps; Output — is bit-identical to the
-// interpreter. The engine guarantees this by:
+// access, trap, fault, poll, and budget edge; Instructions; TLS.Stats and
+// the ledger's buckets; commits, violations and overflows; cache state;
+// tracer timestamps; Output; and every CPU's final registers, pc, state and
+// readyAt — is bit-identical to the interpreter under the per-cycle
+// reference scheduler. The serial engine guarantees this by:
 //
 //   - executing only while exactly one CPU runs and TLS is inactive (the
 //     same predicate as the serial fast loop it replaces);
@@ -35,6 +40,12 @@ import (
 //     entire disposition path (deferral, handler search, fault records) is
 //     the interpreter's own.
 //
+// The speculative leg guarantees it by running ahead only instructions no
+// other CPU can observe, by the same budget and poll-edge rule, by settling
+// every lazily kept count, charge and rewound register before the tls unit
+// flushes or discards an attempt and when Run returns, and by stopping the
+// clock at both edges while a CPU sleeps (spec.go has the details).
+//
 // The engine is disabled (m.t2 == nil) whenever a flight recorder or fault
 // injection plan is attached — both observe or perturb per-instruction
 // events — and when Options.Tier2Off is set.
@@ -46,7 +57,7 @@ type DemoteReason uint8
 const (
 	// DemoteSpec: an STL marker (start/EOI/shutdown/switch-in/switch-out).
 	// Speculation boundaries always interpret, and while TLS is active the
-	// engine does not run at all.
+	// serial engine hands over to the speculative scheduler (spec.go).
 	DemoteSpec DemoteReason = iota
 	// DemoteCall: CALL or RET (frame linkage, stack-overflow check).
 	DemoteCall
@@ -103,7 +114,9 @@ func (d DemoteReason) String() string {
 	return "unknown"
 }
 
-// TierStats counts tier-2 activity for one machine run.
+// TierStats counts tier-2 activity for one machine run. The fields up to
+// Demote count the serial block engine; the Spec fields count the
+// event-driven speculative scheduler (spec.go).
 type TierStats struct {
 	Promotions     int64 // serial-phase entries into the block engine
 	BlocksCompiled int64 // blocks decoded (boundary sentinels included)
@@ -112,6 +125,11 @@ type TierStats struct {
 	Linked         int64 // successor blocks reached through trace links
 	InterpSteps    int64 // single instructions interpreted while promoted
 	Demote         [NumDemoteReasons]int64
+
+	SpecStretches     int64 // register-only stretches a speculative CPU ran ahead
+	SpecStretchInstrs int64 // instructions the stretches contributed to Instructions
+	SpecSleeps        int64 // head waits slept through instead of polled per cycle
+	SpecRewinds       int64 // stretches an event cut short and re-ran in part
 }
 
 // t2fn executes one fused op. It returns the op's total cycle cost (static
@@ -157,11 +175,16 @@ type t2op struct {
 // marks a pc whose instruction must always interpret; reason says why.
 type t2block struct {
 	ops    []t2op
-	static int64 // summed static cost of all ops
-	nmem   int32 // memory accesses (for the worst-case latency bound)
+	static int64  // summed static cost of all ops
+	nmem   int32  // memory accesses (for the worst-case latency bound)
+	wmask  uint32 // registers the block's instructions write (for stretches)
 	entry  int32
 	endPC  int32 // fall-through pc; -1 when the terminal op sets PC itself
 	reason DemoteReason
+	// single marks a stretch block holding one fusable op that reaches
+	// outside the CPU (a load, store, bounds check, CP2 read or
+	// annotation): it runs on its own cycle, never in a stretch.
+	single bool
 	// Trace links: memoized successors so back-to-back blocks dispatch
 	// without a cache probe. succPC is -1 until linked.
 	succ   [2]*t2block
@@ -173,6 +196,7 @@ type t2block struct {
 type t2method struct {
 	gen    uint64
 	blocks []*t2block // indexed by entry pc
+	spec   []*t2block // stretch blocks (spec.go), indexed by entry pc
 }
 
 // tier2 is the per-machine block cache and compile arena. Blocks and op
@@ -252,11 +276,9 @@ func (t *tier2) persistOps(src []t2op) []t2op {
 	}
 }
 
-// lookup returns the block starting at the CPU's (MethodID, PC), compiling
-// and caching it on first sight. Returns nil only for a pc outside the
+// method returns the generation-current cache slot of method mid and the
 // method's code.
-func (t *tier2) lookup(m *Machine, c *CPU) *t2block {
-	mid := c.MethodID
+func (t *tier2) method(m *Machine, mid int) (*t2method, isa.Code) {
 	if mid >= len(t.methods) {
 		grown := make([]t2method, mid+1)
 		copy(grown, t.methods)
@@ -266,15 +288,29 @@ func (t *tier2) lookup(m *Machine, c *CPU) *t2block {
 	code := m.Image.Method(mid).Code
 	if tm.gen != t.gen {
 		tm.gen = t.gen
-		if cap(tm.blocks) < len(code) {
-			tm.blocks = make([]*t2block, len(code))
-		} else {
-			tm.blocks = tm.blocks[:len(code)]
-			for i := range tm.blocks {
-				tm.blocks[i] = nil
-			}
-		}
+		tm.blocks = clearBlocks(tm.blocks, len(code))
+		tm.spec = tm.spec[:0]
 	}
+	return tm, code
+}
+
+// clearBlocks returns a nil-filled block index of length n, reusing s.
+func clearBlocks(s []*t2block, n int) []*t2block {
+	if cap(s) < n {
+		return make([]*t2block, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = nil
+	}
+	return s
+}
+
+// lookup returns the block starting at the CPU's (MethodID, PC), compiling
+// and caching it on first sight. Returns nil only for a pc outside the
+// method's code.
+func (t *tier2) lookup(m *Machine, c *CPU) *t2block {
+	tm, code := t.method(m, c.MethodID)
 	pc := c.PC
 	if pc < 0 || pc >= len(tm.blocks) {
 		return nil
@@ -285,8 +321,32 @@ func (t *tier2) lookup(m *Machine, c *CPU) *t2block {
 	}
 	m.Tier.CacheMisses++
 	m.Tier.BlocksCompiled++
-	b := t.compile(code, pc)
+	b := t.compile(code, pc, false)
 	tm.blocks[pc] = b
+	return b
+}
+
+// lookupSpec is lookup for the speculative leg's stretch blocks, through
+// the CPU's cached table for its current method. It leaves the serial
+// engine's counters alone. Returns nil only for a pc outside the method's
+// code.
+func (t *tier2) lookupSpec(m *Machine, c *CPU) *t2block {
+	if c.specTab == nil || c.specMid != c.MethodID {
+		tm, code := t.method(m, c.MethodID)
+		if len(tm.spec) != len(code) {
+			tm.spec = clearBlocks(tm.spec, len(code))
+		}
+		c.specTab, c.specMid = tm.spec, c.MethodID
+	}
+	pc := c.PC
+	if pc < 0 || pc >= len(c.specTab) {
+		return nil
+	}
+	b := c.specTab[pc]
+	if b == nil {
+		b = t.compile(m.Image.Method(c.MethodID).Code, pc, true)
+		c.specTab[pc] = b
+	}
 	return b
 }
 
@@ -298,6 +358,25 @@ func t2Fusable(in *isa.Instr) bool {
 		return false
 	}
 	if in.Op == isa.MFC2 && in.Imm != isa.CP2Iteration && in.Imm != isa.CP2CPUID {
+		return false
+	}
+	return true
+}
+
+// t2RegOnly reports whether the instruction touches nothing but the
+// executing CPU's registers and pc: the ALU, FP, immediate, branch and jump
+// ops, plus the divide and null-check ops, whose handlers report a trap
+// before any side effect. No other CPU can observe or disturb such an
+// instruction, so a speculative CPU may run it ahead of the machine clock.
+// Memory ops, CP2 reads and the profiler's annotations are excluded along
+// with everything t2Fusable already refuses.
+func t2RegOnly(in *isa.Instr) bool {
+	tr := isa.Traits(in.Op)
+	if !tr.Has(isa.TraitFusable) || tr.Has(isa.TraitMem) {
+		return false
+	}
+	switch in.Op {
+	case isa.MFC2, isa.LWL, isa.SWL, isa.SLOOP, isa.EOI, isa.ELOOP:
 		return false
 	}
 	return true
@@ -322,11 +401,26 @@ func boundaryReason(op isa.Op) DemoteReason {
 
 // compile decodes the straight-line run starting at entry. A non-fusable
 // first instruction yields a boundary sentinel; otherwise ops accumulate
-// until a terminator, a boundary, or the block size cap.
-func (t *tier2) compile(code isa.Code, entry int) *t2block {
+// until a terminator, a boundary, or the block size cap. A spec block (a
+// stretch block for the speculative leg) admits only t2RegOnly
+// instructions and fuses only li+branch, so it ends at the first
+// instruction that reaches outside the CPU; when that is the first
+// instruction and it is fusable, the block is a single op of its own.
+func (t *tier2) compile(code isa.Code, entry int, spec bool) *t2block {
+	member := t2Fusable
+	if spec {
+		member = t2RegOnly
+	}
 	b := t.allocBlock()
 	b.entry = int32(entry)
-	if !t2Fusable(&code[entry]) {
+	if !member(&code[entry]) {
+		if spec && t2Fusable(&code[entry]) {
+			one := [1]t2op{t2Single(&code[entry], entry)}
+			b.ops = t.persistOps(one[:])
+			b.static = one[0].cost
+			b.single = true
+			return b
+		}
 		b.reason = boundaryReason(code[entry].Op)
 		return b
 	}
@@ -336,12 +430,12 @@ func (t *tier2) compile(code isa.Code, entry int) *t2block {
 	terminal := false
 	for pc < len(code) && len(ops) < t2MaxOps && !terminal {
 		in := &code[pc]
-		if !t2Fusable(in) {
+		if !member(in) {
 			break
 		}
 		var o t2op
 		adv := 1
-		if pc+1 < len(code) {
+		if pc+1 < len(code) && (!spec || in.Op == isa.LI) {
 			adv = t2Fuse(in, &code[pc+1], &o)
 		}
 		if adv == 2 {
@@ -350,7 +444,13 @@ func (t *tier2) compile(code isa.Code, entry int) *t2block {
 			o = t2Single(in, pc)
 		}
 		tr := isa.Traits(in.Op)
+		if tr.Has(isa.TraitWritesRd) {
+			b.wmask |= 1 << in.Rd
+		}
 		if adv == 2 {
+			if next := &code[pc+1]; isa.Traits(next.Op).Has(isa.TraitWritesRd) {
+				b.wmask |= 1 << next.Rd
+			}
 			tr |= isa.Traits(code[pc+1].Op)
 		}
 		if tr.Has(isa.TraitMem) {
@@ -488,6 +588,9 @@ func (m *Machine) runBlock(c *CPU, b *t2block) bool {
 			m.Clock = clk
 			m.Instructions += int64(done + sub)
 			m.chargeSerial(c, clk-start)
+			if clk != start {
+				c.readyAt = clk // the diverted instruction's issue cycle
+			}
 			c.PC = int(o.pc) + sub
 			if n == t2DivertBounds {
 				// Bounds trap with the length load already performed: take
@@ -523,11 +626,7 @@ func (m *Machine) runBlock(c *CPU, b *t2block) bool {
 // speculation is inactive.
 func (m *Machine) chargeSerial(c *CPU, cycles int64) {
 	if cycles > 0 {
-		if m.led != nil {
-			m.TLS.ChargeAttemptDiag(c.ID, tls.ChargeRun, cycles)
-			return
-		}
-		m.TLS.ChargeAttempt(c.ID, tls.ChargeRun, cycles)
+		m.charge(c, tls.ChargeRun, cycles)
 	}
 }
 
@@ -551,7 +650,7 @@ func BlockLayout(img *Image, methodID int) []BlockInfo {
 	code := img.Method(methodID).Code
 	var out []BlockInfo
 	for pc := 0; pc < len(code); {
-		b := t.compile(code, pc)
+		b := t.compile(code, pc, false)
 		info := BlockInfo{EntryPC: pc, Cost: b.static, MemOps: int(b.nmem)}
 		if b.ops == nil {
 			info.Len = 1

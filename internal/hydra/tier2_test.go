@@ -2,6 +2,7 @@ package hydra
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"jrpm/internal/isa"
@@ -26,7 +27,9 @@ func (g *gcOnceRuntime) Alloc(m *Machine, cpu int, classID int64) (int64, bool) 
 
 // runTiered executes the same image twice — tier-2 on and off — under
 // identical options and asserts every architectural observable matches:
-// clock, instruction count, output, GC runs, and the error (or its absence).
+// clock, instruction count, output, GC runs, the error (or its absence), the
+// TLS unit's Figure 10 accounting and event counts, the per-loop overflow
+// episodes, and every CPU's final registers, pc, method, state and readyAt.
 // It returns the tier-on machine for demotion-counter assertions.
 func runTiered(t *testing.T, img *Image, opts Options, rt func() Runtime, maxCycles int64) *Machine {
 	t.Helper()
@@ -69,6 +72,23 @@ func runTiered(t *testing.T, img *Image, opts Options, rt func() Runtime, maxCyc
 	}
 	if on.GCRuns != off.GCRuns {
 		t.Fatalf("GC divergence: tier-on %d runs, tier-off %d", on.GCRuns, off.GCRuns)
+	}
+	if on.TLS.Stats != off.TLS.Stats {
+		t.Fatalf("TLS.Stats divergence:\n  tier-on:  %+v\n  tier-off: %+v", on.TLS.Stats, off.TLS.Stats)
+	}
+	if on.TLS.Commits != off.TLS.Commits || on.TLS.Violations != off.TLS.Violations || on.TLS.Overflows != off.TLS.Overflows {
+		t.Fatalf("TLS event divergence: commits %d/%d, violations %d/%d, overflows %d/%d",
+			on.TLS.Commits, off.TLS.Commits, on.TLS.Violations, off.TLS.Violations, on.TLS.Overflows, off.TLS.Overflows)
+	}
+	if fmt.Sprint(on.OverflowBySTL) != fmt.Sprint(off.OverflowBySTL) {
+		t.Fatalf("OverflowBySTL divergence: %v vs %v", on.OverflowBySTL, off.OverflowBySTL)
+	}
+	for i, c := range on.CPUs {
+		o := off.CPUs[i]
+		if c.Regs != o.Regs || c.PC != o.PC || c.MethodID != o.MethodID || c.state != o.state || c.readyAt != o.readyAt {
+			t.Fatalf("cpu%d divergence:\n  tier-on:  pc %d method %d state %d readyAt %d regs %v\n  tier-off: pc %d method %d state %d readyAt %d regs %v",
+				i, c.PC, c.MethodID, c.state, c.readyAt, c.Regs, o.PC, o.MethodID, o.state, o.readyAt, o.Regs)
+		}
 	}
 	return on
 }

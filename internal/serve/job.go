@@ -710,6 +710,10 @@ func (s *Server) addTierMetrics(res *core.Result) {
 		t.CacheMisses += p.Tier.CacheMisses
 		t.Linked += p.Tier.Linked
 		t.InterpSteps += p.Tier.InterpSteps
+		t.SpecStretches += p.Tier.SpecStretches
+		t.SpecStretchInstrs += p.Tier.SpecStretchInstrs
+		t.SpecSleeps += p.Tier.SpecSleeps
+		t.SpecRewinds += p.Tier.SpecRewinds
 		for r := range t.Demote {
 			t.Demote[r] += p.Tier.Demote[r]
 		}
@@ -720,6 +724,10 @@ func (s *Server) addTierMetrics(res *core.Result) {
 	s.reg.Counter("jrpm_tier_cache_misses_total").Add(t.CacheMisses)
 	s.reg.Counter("jrpm_tier_links_total").Add(t.Linked)
 	s.reg.Counter("jrpm_tier_interp_steps_total").Add(t.InterpSteps)
+	s.reg.Counter("jrpm_tier_spec_stretches_total").Add(t.SpecStretches)
+	s.reg.Counter("jrpm_tier_spec_stretch_instructions_total").Add(t.SpecStretchInstrs)
+	s.reg.Counter("jrpm_tier_spec_sleeps_total").Add(t.SpecSleeps)
+	s.reg.Counter("jrpm_tier_spec_rewinds_total").Add(t.SpecRewinds)
 	for r := hydra.DemoteReason(0); r < hydra.NumDemoteReasons; r++ {
 		if v := t.Demote[r]; v != 0 {
 			s.reg.Counter(fmt.Sprintf("jrpm_tier_demotions_total{reason=%q}", r)).Add(v)

@@ -178,6 +178,11 @@ type Unit struct {
 	// ledger when attached (nil in ordinary runs; pure observation, never
 	// feeds back into Stats or scheduling).
 	led *obs.Ledger
+
+	// settle, when set, runs before the unit flushes or discards a thread's
+	// attempt, so a machine that charges cycles lazily can land that CPU's
+	// pending charges first (nil in eagerly charging machines).
+	settle func(cpu int)
 }
 
 // NewUnit builds a TLS unit over the given memory and caches.
@@ -220,6 +225,11 @@ func (u *Unit) SetInjector(inj *faultinject.Injector) { u.inj = inj }
 
 // SetLedger attaches the doctor's cycle-conservation ledger (nil detaches).
 func (u *Unit) SetLedger(led *obs.Ledger) { u.led = led }
+
+// SetSettle installs the hook run before any attempt flush or discard
+// (commit, violation, kill, shutdown, switch); nil removes it. Reset
+// removes it too.
+func (u *Unit) SetSettle(fn func(cpu int)) { u.settle = fn }
 
 // Active reports whether an STL is executing speculatively.
 func (u *Unit) Active() bool { return u.active }
@@ -419,6 +429,9 @@ func (u *Unit) ChargeAttemptDiag(cpu int, kind ChargeKind, cycles int64) {
 
 // flushAttempt moves tentative cycles into the used or violated buckets.
 func (u *Unit) flushAttempt(cpu int, t *thread, used bool) {
+	if u.settle != nil {
+		u.settle(cpu)
+	}
 	if used {
 		u.Stats.RunUsed += t.run
 		u.Stats.WaitUsed += t.wait
@@ -481,8 +494,12 @@ func (u *Unit) TrackRead(cpu int, a mem.Addr) {
 }
 
 // probeBuf reads word a from a store buffer, honoring the per-word valid
-// bits unless the ChaosNoWordValid conformance hook disables them.
+// bits unless the ChaosNoWordValid conformance hook disables them. An empty
+// buffer answers without touching its tag array.
 func (u *Unit) probeBuf(b *storeBuffer, a mem.Addr) (int64, bool) {
+	if b.lines() == 0 {
+		return 0, false
+	}
 	if u.cfg.ChaosNoWordValid {
 		return b.getLineOnly(a)
 	}

@@ -495,3 +495,37 @@ func TestResetStats(t *testing.T) {
 		t.Error("reset incomplete")
 	}
 }
+
+// TestSettleHookRunsBeforeFlush pins the pre-flush hook's contract: it runs
+// for the flushed CPU before the unit reads that attempt's cycles, on a
+// violation as on a commit, so cycles the hook charges land in the attempt
+// being flushed.
+func TestSettleHookRunsBeforeFlush(t *testing.T) {
+	u, _ := newTestUnit(2)
+	var settled []int
+	u.SetSettle(func(cpu int) {
+		settled = append(settled, cpu)
+		u.ChargeAttempt(cpu, ChargeRun, 7)
+	})
+	u.Start(1)
+	u.Load(1, 100, false) // CPU1 (iter 1) exposes a read of 100
+	if _, violated, err := u.Store(0, 100, 3); err != nil || len(violated) != 1 {
+		t.Fatalf("store: violated %v, err %v", violated, err)
+	}
+	if err := u.CommitEOI(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(settled) != 2 || settled[0] != 1 || settled[1] != 0 {
+		t.Fatalf("hook ran for %v, want [1 0] (violated CPU, then the committer)", settled)
+	}
+	if u.Stats.RunViolated != 7 || u.Stats.RunUsed != 7 {
+		t.Fatalf("stats %+v: the hook's charges must land in the flushed attempts", u.Stats)
+	}
+	u.SetSettle(nil)
+	if err := u.CommitEOI(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(settled) != 2 {
+		t.Fatalf("removed hook still ran: %v", settled)
+	}
+}
