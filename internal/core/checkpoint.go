@@ -162,18 +162,6 @@ func resume(bp *bytecode.Program, opts Options, st stage, cp *Checkpoint) (*Resu
 	return run(bp, opts, st, cp)
 }
 
-// checkpointable reports whether the phase execute is about to run supports
-// snapshotting: no tracer, no fault injector, no recorder, no ledger.
-func checkpointable(opts Options, profile, spec bool) bool {
-	if profile || opts.Diagnose {
-		return false
-	}
-	if spec && (opts.Faults != nil || opts.Recorder != nil) {
-		return false
-	}
-	return true
-}
-
 // phaseStage is the checkpoint stage label of a (profile, spec) execute.
 func phaseStage(spec bool) string {
 	if spec {
@@ -182,46 +170,13 @@ func phaseStage(spec bool) string {
 	return StageSeq
 }
 
-// executeResume is execute for a restored phase: instead of booting CPU 0 it
-// installs the runtime services (whose simulated-memory writes the memory
-// restore overwrites) and writes the snapshot into the fresh machine, then
-// runs to completion.
-func executeResume(bp *bytecode.Program, img *hydra.Image, opts Options, spec bool, cp *Checkpoint) (Phase, error) {
-	rt := vm.New(bp, opts.VM)
-	mopts := hydra.Options{
-		NCPU:     opts.NCPU,
-		Handlers: opts.Handlers,
-		TLS:      opts.TLS,
-		Cache:    opts.Cache,
-		Tier2Off: opts.Tier2Off,
-		Ctx:      opts.Ctx,
+// at returns cp when it was taken in the given stage and nil otherwise
+// (also for a nil cp).
+func (cp *Checkpoint) at(stage string) *Checkpoint {
+	if cp != nil && cp.Stage == stage {
+		return cp
 	}
-	if spec {
-		mopts.Guard = opts.Guard
-		mopts.StormLimit = opts.StormLimit
-	}
-	cc := opts.Checkpoint
-	if cc != nil {
-		ckpt := &hydra.Checkpointer{Sink: checkpointSink(cc, rt, bp.Name, phaseStage(spec)), Stride: cc.Stride}
-		mopts.Checkpoint = ckpt
-		cc.attach(ckpt)
-		defer cc.detach(ckpt)
-	}
-	m := hydra.NewMachine(img, rt, mopts)
-	rt.Install(m)
-	if err := m.Restore(cp.Machine); err != nil {
-		m.Release()
-		return Phase{}, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-	}
-	rt.RestoreState(*cp.VM)
-	maxC := opts.MaxCycles
-	if maxC == 0 {
-		maxC = 2_000_000_000
-	}
-	err := m.Run(maxC)
-	ph := extractPhase(m, img)
-	m.Release()
-	return ph, err
+	return nil
 }
 
 // checkpointSink builds the Checkpointer sink for one phase: capture the

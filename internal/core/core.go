@@ -350,10 +350,7 @@ func run(bp *bytecode.Program, opts Options, st stage, cp *Checkpoint) (*Result,
 	// checkpoint — continues from the restored safepoint; both paths yield
 	// the identical Phase.
 	runSeq := func() (Phase, error) {
-		if cp != nil && cp.Stage == StageSeq {
-			return executeResume(bp, plainImg, opts, false, cp)
-		}
-		ph, _, err := execute(bp, plainImg, opts, false, false)
+		ph, _, err := execute(bp, plainImg, opts, false, false, cp.at(StageSeq))
 		return ph, err
 	}
 	if st == stageSeq {
@@ -382,7 +379,7 @@ func run(bp *bytecode.Program, opts Options, st stage, cp *Checkpoint) (*Result,
 		return nil, fmt.Errorf("core: annotated compile: %w", err)
 	}
 	res.CompileCycles = annRep.Cycles
-	prof, tr, err := execute(bp, annImg, opts, true, false)
+	prof, tr, err := execute(bp, annImg, opts, true, false, nil)
 	so := <-seqCh // join the baseline leg before touching its results
 	if so.err != nil {
 		return nil, fmt.Errorf("core: sequential run: %w", so.err)
@@ -432,12 +429,7 @@ func run(bp *bytecode.Program, opts Options, st stage, cp *Checkpoint) (*Result,
 		res.JITFallback = true
 	}
 	res.RecompileCycles = tlsRep.Cycles
-	var spec Phase
-	if cp != nil && cp.Stage == StageTLS {
-		spec, err = executeResume(bp, tlsImg, opts, true, cp)
-	} else {
-		spec, _, err = execute(bp, tlsImg, opts, false, true)
-	}
+	spec, _, err := execute(bp, tlsImg, opts, false, true, cp.at(StageTLS))
 	if err != nil {
 		return nil, fmt.Errorf("core: TLS run: %w", err)
 	}
@@ -501,7 +493,7 @@ func adapt(bp *bytecode.Program, info *cfg.ProgramInfo, res *Result,
 	if err != nil {
 		return fmt.Errorf("core: adaptive recompile: %w", err)
 	}
-	spec, _, err := execute(bp, img, opts, false, true)
+	spec, _, err := execute(bp, img, opts, false, true, nil)
 	if err != nil {
 		return fmt.Errorf("core: adaptive TLS run: %w", err)
 	}
@@ -537,8 +529,11 @@ func faultPlan(opts Options) faultinject.Plan {
 
 // execute runs one image on a fresh machine. Fault injection and the STL
 // guard attach only to speculative (spec) phases so the sequential and
-// profiling runs stay clean.
-func execute(bp *bytecode.Program, img *hydra.Image, opts Options, profile, spec bool) (Phase, *tracer.Tracer, error) {
+// profiling runs stay clean. A nil cp boots the machine at the program
+// entry; otherwise the machine is restored to cp's safepoint and runs on
+// from there. The runtime services install before the restore, whose memory
+// image overwrites their simulated-memory writes.
+func execute(bp *bytecode.Program, img *hydra.Image, opts Options, profile, spec bool, cp *Checkpoint) (Phase, *tracer.Tracer, error) {
 	rt := vm.New(bp, opts.VM)
 	mopts := hydra.Options{
 		NCPU:     opts.NCPU,
@@ -565,15 +560,24 @@ func execute(bp *bytecode.Program, img *hydra.Image, opts Options, profile, spec
 		led = obs.NewLedger(n)
 		mopts.Ledger = led
 	}
-	if cc := opts.Checkpoint; cc != nil && checkpointable(opts, profile, spec) {
+	if cc := opts.Checkpoint; cc != nil && mopts.Snapshotable() {
 		ckpt := &hydra.Checkpointer{Sink: checkpointSink(cc, rt, bp.Name, phaseStage(spec)), Stride: cc.Stride}
 		mopts.Checkpoint = ckpt
 		cc.attach(ckpt)
 		defer cc.detach(ckpt)
 	}
 	m := hydra.NewMachine(img, rt, mopts)
-	m.Boot()
-	rt.Install(m)
+	if cp != nil {
+		rt.Install(m)
+		if err := m.Restore(cp.Machine); err != nil {
+			m.Release()
+			return Phase{}, nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+		}
+		rt.RestoreState(*cp.VM)
+	} else {
+		m.Boot()
+		rt.Install(m)
+	}
 	maxC := opts.MaxCycles
 	if maxC == 0 {
 		maxC = 2_000_000_000

@@ -5,6 +5,7 @@ import (
 
 	"jrpm/internal/faultinject"
 	"jrpm/internal/tls"
+	"jrpm/internal/workloads"
 )
 
 // TestZeroFaultPlanLeavesCyclesUnchanged: plumbing a zero plan through the
@@ -108,5 +109,42 @@ func TestCycleBudgetSurfacesFromOptions(t *testing.T) {
 	opts.MaxCycles = 100
 	if _, err := Run(vectorKernel(400), opts); err == nil {
 		t.Fatal("100-cycle budget should fail the run")
+	}
+}
+
+// TestGuardedFaultRunRepeats runs deltaBlue with the guard and an injected
+// RAW plan many times and requires one result. The guard's demotion to
+// solo kills attempts that allocated speculatively; their blocks stay in
+// the VM's allocation registry while the discarded stores leave memory
+// listing the same words as free. The collector must reconcile the two:
+// when it swept both into overlapping free spans, their order depended on
+// Go map iteration and the TLS cycle count varied from run to run.
+func TestGuardedFaultRunRepeats(t *testing.T) {
+	w := workloads.ByName("deltaBlue")
+	plan, err := faultinject.Parse("seed=3,raw=0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcfg := tls.DefaultGuardConfig()
+	var first *Result
+	for i := 0; i < 12; i++ {
+		opts := DefaultOptions()
+		opts.VM.HeapWords = w.HeapWords
+		opts.Faults = &plan
+		opts.Guard = &gcfg
+		res, err := Run(w.Build(), opts)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if res.TLS.Cycles != first.TLS.Cycles || res.TLS.GCCycles != first.TLS.GCCycles ||
+			res.TLS.Instructions != first.TLS.Instructions {
+			t.Fatalf("run %d: TLS cycles %d, GC cycles %d, instructions %d; run 0: %d, %d, %d",
+				i, res.TLS.Cycles, res.TLS.GCCycles, res.TLS.Instructions,
+				first.TLS.Cycles, first.TLS.GCCycles, first.TLS.Instructions)
+		}
 	}
 }

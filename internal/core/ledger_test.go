@@ -105,3 +105,51 @@ func TestDiagnoseGuardDemotedConserves(t *testing.T) {
 		t.Error("injected RAW violations were not attributed to the synthetic site")
 	}
 }
+
+// TestDiagnoseUnderFaultsAttributesEveryViolation attaches the ledger and a
+// fault plan together across the suite. Every phase must conserve with
+// nothing leaked, and every discarded attempt must be charged to exactly one
+// violation site: the site counts of the speculative phase sum to its
+// violation count, whether a store broadcast, an injected RAW or a GC
+// quiesce discarded the attempt.
+func TestDiagnoseUnderFaultsAttributesEveryViolation(t *testing.T) {
+	plan, err := faultinject.Parse("seed=7,raw=0.01,overflow=0.005,heap=0.001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[obs.SiteKind]int64{}
+	for _, w := range workloads.All() {
+		opts := DefaultOptions()
+		if w.HeapWords > 0 {
+			opts.VM.HeapWords = w.HeapWords
+		}
+		opts.Faults = &plan
+		opts.Diagnose = true
+		res, err := Run(w.Build(), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		for phase, ph := range map[string]*Phase{"seq": &res.Seq, "profile": &res.Profile, "tls": &res.TLS} {
+			if err := ph.Ledger.CheckConservation(); err != nil {
+				t.Errorf("%s/%s: %v", w.Name, phase, err)
+			}
+			if n := ph.Ledger.Machine.Leaked; n != 0 {
+				t.Errorf("%s/%s: %d cycles leaked", w.Name, phase, n)
+			}
+		}
+		var counted int64
+		for _, l := range res.TLS.Ledger.Loops {
+			for _, s := range l.Sites {
+				counted += s.Count
+				kinds[s.Key.Kind] += s.Count
+			}
+		}
+		if counted != res.TLS.Violations {
+			t.Errorf("%s: sites count %d discarded attempts, the unit %d violations", w.Name, counted, res.TLS.Violations)
+		}
+	}
+	t.Logf("discarded attempts by site kind: %v", kinds)
+	if kinds[obs.SiteInjected] == 0 {
+		t.Errorf("no injected RAW reached its synthetic site: %v", kinds)
+	}
+}

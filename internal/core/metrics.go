@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"jrpm/internal/hydra"
 	"jrpm/internal/obs"
 	"jrpm/internal/tls"
 )
@@ -63,25 +62,7 @@ func (p *Phase) FillMetrics(reg *obs.Registry, labels string) {
 	state("run_violated", p.Stats.RunViolated)
 	state("wait_violated", p.Stats.WaitViolated)
 
-	// Tier-2 block-engine activity. Demotions get one labeled counter per
-	// reason so a dashboard can tell a trap-heavy workload from one that
-	// simply lives inside speculative regions.
-	add("jrpm_tier_promotions_total", p.Tier.Promotions)
-	add("jrpm_tier_blocks_compiled_total", p.Tier.BlocksCompiled)
-	add("jrpm_tier_cache_hits_total", p.Tier.CacheHits)
-	add("jrpm_tier_cache_misses_total", p.Tier.CacheMisses)
-	add("jrpm_tier_links_total", p.Tier.Linked)
-	add("jrpm_tier_interp_steps_total", p.Tier.InterpSteps)
-	add("jrpm_tier_spec_stretches_total", p.Tier.SpecStretches)
-	add("jrpm_tier_spec_stretch_instructions_total", p.Tier.SpecStretchInstrs)
-	add("jrpm_tier_spec_sleeps_total", p.Tier.SpecSleeps)
-	add("jrpm_tier_spec_rewinds_total", p.Tier.SpecRewinds)
-	for r := hydra.DemoteReason(0); r < hydra.NumDemoteReasons; r++ {
-		if v := p.Tier.Demote[r]; v != 0 {
-			reg.Counter(obs.Name("jrpm_tier_demotions_total",
-				obs.JoinLabels(fmt.Sprintf("reason=%q", r), labels))).Add(v)
-		}
-	}
+	p.Tier.FillMetrics(reg, labels)
 
 	reg.Gauge(obs.Name("jrpm_tls_store_buffer_lines_avg", labels)).Set(p.AvgStoreBuf)
 	reg.Gauge(obs.Name("jrpm_tls_load_buffer_lines_avg", labels)).Set(p.AvgLoadBuf)

@@ -66,7 +66,7 @@ func newFleetHarness(t testing.TB, n int, fcfg fleet.Config) *fleetHarness {
 // oracle every fleet path is measured against.
 func directWire(t testing.TB, scfg serve.Config, spec serve.JobSpec) ([]byte, *core.Result) {
 	t.Helper()
-	bp, _, err := serve.BuildProgram(spec)
+	bp, heapWords, err := serve.BuildProgram(spec)
 	if err != nil {
 		t.Fatalf("%s: build: %v", spec.Name, err)
 	}
@@ -74,7 +74,7 @@ func directWire(t testing.TB, scfg serve.Config, spec serve.JobSpec) ([]byte, *c
 	if err != nil {
 		t.Fatalf("%s: mode: %v", spec.Name, err)
 	}
-	opts, err := scfg.OptionsForSpec(spec, first)
+	opts, err := scfg.OptionsFor(spec, first, heapWords)
 	if err != nil {
 		t.Fatalf("%s: options: %v", spec.Name, err)
 	}

@@ -161,7 +161,7 @@ func (rt *Router) Key(spec serve.JobSpec) (string, error) {
 }
 
 func (rt *Router) key(spec serve.JobSpec) (key string, cacheable bool, err error) {
-	bp, _, err := serve.BuildProgram(spec)
+	bp, heapWords, err := serve.BuildProgram(spec)
 	if err != nil {
 		return "", false, err
 	}
@@ -169,7 +169,7 @@ func (rt *Router) key(spec serve.JobSpec) (key string, cacheable bool, err error
 	if err != nil {
 		return "", false, err
 	}
-	opts, err := rt.cfg.Serve.OptionsForSpec(spec, first)
+	opts, err := rt.cfg.Serve.OptionsFor(spec, first, heapWords)
 	if err != nil {
 		return "", false, err
 	}

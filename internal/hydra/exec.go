@@ -39,17 +39,11 @@ func (m *Machine) exec(c *CPU) {
 	// speculative thread as if an older store had touched one of its exposed
 	// reads (the thread and everything younger restart).
 	if m.TLS.Active() && !m.TLS.IsHead(c.ID) && m.inj.SpuriousRAW() {
-		if m.led != nil {
-			m.led.BeginSyntheticViolation(obs.SiteInjected)
-		}
-		for _, vc := range m.TLS.ViolateFrom(m.TLS.Iteration(c.ID)) {
+		for _, vc := range m.TLS.ViolateSynthetic(m.TLS.Iteration(c.ID), obs.SiteInjected) {
 			if m.rec != nil {
 				m.record(obs.EvViolation, vc, -1, int64(c.ID))
 			}
 			m.redirectRestart(m.CPUs[vc])
-		}
-		if m.led != nil {
-			m.led.EndViolation()
 		}
 		return
 	}
@@ -449,11 +443,7 @@ func (m *Machine) exec(c *CPU) {
 	total := cost + c.extra
 	c.extra = 0
 	c.readyAt = m.Clock + total
-	if m.led == nil {
-		m.TLS.ChargeAttempt(c.ID, tls.ChargeRun, total)
-	} else {
-		m.TLS.ChargeAttemptDiag(c.ID, tls.ChargeRun, total)
-	}
+	m.TLS.ChargeAttempt(c.ID, tls.ChargeRun, total)
 	if c.overflowPending && m.TLS.Active() {
 		m.overflowed(c)
 	}

@@ -21,30 +21,44 @@ func ledgerMachine(img *Image) (*Machine, *obs.Ledger) {
 }
 
 // TestLedgerHotPathZeroAlloc is the observability-cost guarantee for the
-// cycle ledger: the per-instruction charge mirror must not allocate, on
-// either the serial path or the speculative run/wait paths.
+// cycle ledger: with a ledger attached, the per-instruction charge and the
+// commit flush that hands an attempt's split to the ledger must not
+// allocate, on the serial path or the speculative run/wait paths.
 func TestLedgerHotPathZeroAlloc(t *testing.T) {
 	b := isa.NewBuilder()
 	b.Emit(isa.Instr{Op: isa.HALT})
 	img := image(&Method{Name: "main", Code: b.Finish(), FrameWords: 4})
-	m, _ := ledgerMachine(img)
+	m, led := ledgerMachine(img)
 
-	// Serial path: speculation inactive, charges mirror into Serial.
+	// Serial path: speculation inactive, charges land in Serial.
 	if n := testing.AllocsPerRun(500, func() {
-		m.TLS.ChargeAttemptDiag(1, tls.ChargeRun, 3)
+		m.TLS.ChargeAttempt(1, tls.ChargeRun, 3)
 	}); n != 0 {
-		t.Fatalf("serial charge mirror allocates %.1f per op, want 0", n)
+		t.Fatalf("serial charge allocates %.1f per op, want 0", n)
 	}
 
-	// Speculative path: run and wait charges mirror into the tentative
-	// attempt accumulators.
+	// Speculative path: run and wait charges accumulate in the head's
+	// attempt, and its commit flushes the split into the ledger's loop
+	// buckets. Iteration i runs on CPU i mod NCPU, so the head rotates.
 	m.TLS.Start(1)
+	led.BeginSTL(0, obs.LoopParallel)
+	head := 0
 	if n := testing.AllocsPerRun(500, func() {
-		m.TLS.ChargeAttemptDiag(1, tls.ChargeRun, 2)
-		m.TLS.ChargeAttemptDiag(1, tls.ChargeWait, 1)
-		m.TLS.ChargeAttemptDiag(1, tls.ChargeWaitOverflow, 1)
+		m.TLS.ChargeAttempt(head, tls.ChargeRun, 2)
+		m.TLS.ChargeAttempt(head, tls.ChargeWait, 1)
+		m.TLS.ChargeAttempt(head, tls.ChargeWaitOverflow, 1)
+		if err := m.TLS.CommitEOI(head); err != nil {
+			t.Fatal(err)
+		}
+		head = (head + 1) % len(m.CPUs)
 	}); n != 0 {
-		t.Fatalf("speculative charge mirror allocates %.1f per op, want 0", n)
+		t.Fatalf("speculative charge and commit flush allocate %.1f per op, want 0", n)
+	}
+	led.EndSTL()
+	led.Close(m.Clock)
+	lb := led.Snapshot().Loop(0).Buckets
+	if lb.RunUsed != 2*501 || lb.WaitCommit != 501 || lb.WaitOverflow != 501 {
+		t.Fatalf("ledger buckets %+v: each commit must flush run 2, commit-wait 1, overflow-wait 1", lb)
 	}
 }
 

@@ -116,9 +116,9 @@ type Options struct {
 	// ledger (nil disables). Like the recorder it is pure observation: one
 	// predicted nil-check per hook site, no allocation, no timing change,
 	// bit-identical cycle counts whether attached or not. Unlike the
-	// recorder it does NOT demote the tier-2 block engine — the ledger's
-	// charges mirror the same batched accounting the engine already feeds
-	// the tls unit.
+	// recorder it does NOT demote the tier-2 block engine — the ledger
+	// refines the tls unit's attempt accounting, which the engine already
+	// feeds in batches.
 	Ledger *obs.Ledger
 
 	// Tier2Off disables the tier-2 block engine and with it the event-driven
@@ -145,6 +145,14 @@ type Options struct {
 	// with ErrCancelled wrapping the context's cause. nil means the run is
 	// uninterruptible, as before.
 	Ctx context.Context
+}
+
+// Snapshotable reports whether a machine built with these options can take
+// and restore safepoint snapshots: a snapshot carries none of the state of
+// the profiling tracer, a flight recorder, a fault plan or the doctor's
+// ledger, so none may be attached.
+func (o *Options) Snapshotable() bool {
+	return !o.Profile && o.Recorder == nil && o.Faults == nil && o.Ledger == nil
 }
 
 // defaultStormLimit bounds restarts-without-commit; generous enough that
@@ -199,6 +207,9 @@ type Machine struct {
 
 	rec obs.Recorder
 	led *obs.Ledger
+	// snapshotable is Options.Snapshotable for the options the machine was
+	// built with.
+	snapshotable bool
 	// Configured latencies, cached so the recorder can classify a load's
 	// memory level from its charged latency without touching CacheSim.
 	latL2, latMem, latInter int64
@@ -278,6 +289,7 @@ func NewMachine(img *Image, rt Runtime, opts Options) *Machine {
 		OverflowBySTL: map[int64]int64{},
 		hw:            hw,
 		rec:           opts.Recorder,
+		snapshotable:  opts.Snapshotable(),
 		latL2:         cacheCfg.LatL2,
 		latMem:        cacheCfg.LatMem,
 		latInter:      cacheCfg.LatInter,
@@ -738,23 +750,12 @@ func (m *Machine) wait(c *CPU) { m.waitAs(c, tls.ChargeWait) }
 // cycles it would have polled when a head change, violation or kill wakes
 // it.
 func (m *Machine) waitAs(c *CPU, kind tls.ChargeKind) {
-	m.charge(c, kind, 1)
+	m.TLS.ChargeAttempt(c.ID, kind, 1)
 	c.readyAt = m.Clock + 1
 	if m.t2 != nil {
 		c.asleep, c.sleepKind = true, kind
 		m.nsleep++
 		m.Tier.SpecSleeps++
-	}
-}
-
-// charge adds cycles of the given kind to c's current attempt (or to the
-// serial bucket outside speculation), mirrored into the ledger when one is
-// attached.
-func (m *Machine) charge(c *CPU, kind tls.ChargeKind, cycles int64) {
-	if m.led == nil {
-		m.TLS.ChargeAttempt(c.ID, kind, cycles)
-	} else {
-		m.TLS.ChargeAttemptDiag(c.ID, kind, cycles)
 	}
 }
 
@@ -903,17 +904,11 @@ func (m *Machine) quiesceForGC(c *CPU) {
 	}
 	// These discards have no violating store address: attribute them to the
 	// synthetic GC-quiesce site.
-	if m.led != nil {
-		m.led.BeginSyntheticViolation(obs.SiteGC)
-	}
-	for _, vc := range m.TLS.ViolateFrom(m.TLS.Iteration(c.ID) + 1) {
+	for _, vc := range m.TLS.ViolateSynthetic(m.TLS.Iteration(c.ID)+1, obs.SiteGC) {
 		if m.rec != nil {
 			m.record(obs.EvViolation, vc, -2, int64(c.ID))
 		}
 		m.redirectRestart(m.CPUs[vc])
-	}
-	if m.led != nil {
-		m.led.EndViolation()
 	}
 }
 

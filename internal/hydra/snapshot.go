@@ -223,7 +223,7 @@ func (m *Machine) Snapshot() (*MachineSnapshot, error) {
 }
 
 func (m *Machine) snapshotAt(inTier2 bool, last *t2block) (*MachineSnapshot, error) {
-	if m.Tracer != nil || m.rec != nil || m.inj != nil || m.led != nil {
+	if !m.snapshotable {
 		return nil, ErrSnapshotUnsupported
 	}
 	if m.halted || m.err != nil {
@@ -326,7 +326,7 @@ func (m *Machine) captureTier2(inTier2 bool, last *t2block) *TierCacheSnapshot {
 // runnable). After Restore, Run continues the original execution
 // bit-identically.
 func (m *Machine) Restore(s *MachineSnapshot) error {
-	if m.Tracer != nil || m.rec != nil || m.inj != nil || m.led != nil {
+	if !m.snapshotable {
 		return ErrSnapshotUnsupported
 	}
 	if m.halted || m.err != nil {

@@ -191,7 +191,7 @@ func (m *Machine) stepSingle(c *CPU) bool {
 	m.Instructions++
 	c.PC++
 	c.readyAt = m.Clock + n
-	m.charge(c, tls.ChargeRun, n)
+	m.TLS.ChargeAttempt(c.ID, tls.ChargeRun, n)
 	if c.overflowPending {
 		m.overflowed(c)
 	}
@@ -291,7 +291,7 @@ func (m *Machine) landStretch(c *CPU) {
 	sx := &c.sx
 	m.Instructions += sx.n
 	m.Tier.SpecStretchInstrs += sx.n
-	m.charge(c, tls.ChargeRun, sx.cyc)
+	m.TLS.ChargeAttempt(c.ID, tls.ChargeRun, sx.cyc)
 	sx.n = 0
 }
 
@@ -366,7 +366,7 @@ func (m *Machine) settle(c *CPU) {
 			polls++
 		}
 		if polls > 0 {
-			m.charge(c, c.sleepKind, polls)
+			m.TLS.ChargeAttempt(c.ID, c.sleepKind, polls)
 			c.readyAt += polls
 		}
 		c.asleep = false

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"jrpm/internal/isa"
+	"jrpm/internal/obs"
 	"jrpm/internal/tls"
 )
 
@@ -130,6 +131,32 @@ type TierStats struct {
 	SpecStretchInstrs int64 // instructions the stretches contributed to Instructions
 	SpecSleeps        int64 // head waits slept through instead of polled per cycle
 	SpecRewinds       int64 // stretches an event cut short and re-ran in part
+}
+
+// FillMetrics adds the counters to reg as jrpm_tier_* counters under the
+// given label set (comma form; "" for none). Demotions get one counter per
+// reason, so a dashboard can tell a trap-heavy workload from one that simply
+// lives inside speculative regions; a reason that never fired gets none.
+func (t *TierStats) FillMetrics(reg *obs.Registry, labels string) {
+	add := func(name string, v int64) {
+		reg.Counter(obs.Name(name, labels)).Add(v)
+	}
+	add("jrpm_tier_promotions_total", t.Promotions)
+	add("jrpm_tier_blocks_compiled_total", t.BlocksCompiled)
+	add("jrpm_tier_cache_hits_total", t.CacheHits)
+	add("jrpm_tier_cache_misses_total", t.CacheMisses)
+	add("jrpm_tier_links_total", t.Linked)
+	add("jrpm_tier_interp_steps_total", t.InterpSteps)
+	add("jrpm_tier_spec_stretches_total", t.SpecStretches)
+	add("jrpm_tier_spec_stretch_instructions_total", t.SpecStretchInstrs)
+	add("jrpm_tier_spec_sleeps_total", t.SpecSleeps)
+	add("jrpm_tier_spec_rewinds_total", t.SpecRewinds)
+	for r := DemoteReason(0); r < NumDemoteReasons; r++ {
+		if v := t.Demote[r]; v != 0 {
+			reg.Counter(obs.Name("jrpm_tier_demotions_total",
+				obs.JoinLabels(fmt.Sprintf("reason=%q", r), labels))).Add(v)
+		}
+	}
 }
 
 // t2fn executes one fused op. It returns the op's total cycle cost (static
@@ -626,7 +653,7 @@ func (m *Machine) runBlock(c *CPU, b *t2block) bool {
 // speculation is inactive.
 func (m *Machine) chargeSerial(c *CPU, cycles int64) {
 	if cycles > 0 {
-		m.charge(c, tls.ChargeRun, cycles)
+		m.TLS.ChargeAttempt(c.ID, tls.ChargeRun, cycles)
 	}
 }
 

@@ -124,8 +124,6 @@ func (s *shadow) charge(c int, kind tls.ChargeKind, cycles int64) {
 		t.run += cycles
 	case tls.ChargeWait:
 		t.wait += cycles
-	case tls.ChargeOverhead:
-		t.overhead += cycles
 	}
 	s.chargedWork += cycles
 }

@@ -13,31 +13,30 @@ import (
 //
 // The ledger is passive: it never touches the machine clock, readyAt
 // scheduling, or tls.StateStats, so cycle counts are bit-identical whether
-// it is attached or not. It is fed two ways:
+// it is attached or not. It refines the tls unit's attempt accounting rather
+// than keeping a copy of it:
 //
-//   - delta charges mirrored one-for-one from the tls unit's attempt
-//     accounting (ChargeRun/ChargeWait/handler hooks), which advance a
-//     per-CPU watermark by exactly the cycles the machine charged; and
-//   - clamped absolute spans from hydra at the scheduling points the tls
-//     unit cannot see (startup/shutdown parking, multilevel switches, GC,
-//     deferred IO and exceptions, overflow drains), which charge the gap
-//     between the watermark and a target cycle.
+//   - the unit's flushes hand each attempt's run, commit-wait and
+//     overflow-wait cycles to FlushAttempt, which splits them into used,
+//     violated and guard buckets, and the unit's handler hooks (ChargeEOI,
+//     ChargeRestart) name the handler buckets;
+//   - hydra charges clamped absolute spans at the scheduling points the unit
+//     cannot see (startup/shutdown parking, multilevel switches, GC,
+//     deferred IO and exceptions, overflow drains): each charges the gap
+//     between the CPU's watermark and a target cycle.
 //
-// Because every charge advances the watermark by what it claims, and Close
-// sweeps the remaining gap on every CPU into Idle, conservation holds by
-// construction; CheckConservation then guards the implementation itself
-// (double charges, missed sweeps) rather than the caller's usage.
-//
-// Run/wait cycles of a speculative attempt are held tentative per CPU and
-// move to used or violated buckets when the tls unit flushes the attempt —
-// mirroring how StateStats defers the same judgment.
+// A CPU's watermark is the unit's running total of cycles charged to it
+// (AttemptSource.ChargedCycles) plus the ledger's own spans and idle sweeps.
+// Close sweeps the remaining gap on every CPU into Idle and takes the serial
+// total and the still-pending attempts from the unit, so the buckets add up
+// to the watermarks exactly when every charged cycle reached a bucket.
+// CheckConservation guards that: an attempt the unit drops without a flush
+// stays in the watermark and breaks the identity.
 type Ledger struct {
 	ncpu int
 
-	acct      []int64 // per-CPU watermark: cycles attributed so far
-	tentRun   []int64 // tentative attempt run cycles (flush decides bucket)
-	tentWaitC []int64 // tentative commit-wait cycles
-	tentWaitO []int64 // tentative overflow-stall wait cycles
+	src AttemptSource // the tls unit; nil once Close has read it
+	own []int64       // per-CPU cycles the ledger attributed itself (spans, idle)
 
 	mach  MachineBuckets
 	loops map[int64]*loopState
@@ -49,6 +48,20 @@ type Ledger struct {
 
 	closed bool
 	wall   int64
+}
+
+// AttemptSource is the attempt accounting a ledger refines; *tls.Unit
+// implements it.
+type AttemptSource interface {
+	// ChargedCycles is every cycle charged to cpu so far: serial and attempt
+	// cycles and the handler costs the ledger hears of through ChargeEOI and
+	// ChargeRestart.
+	ChargedCycles(cpu int) int64
+	// PendingCycles is the run and wait cycles of cpu's attempt that no
+	// flush has judged yet.
+	PendingCycles(cpu int) int64
+	// SerialCycles is the cycles charged outside speculation.
+	SerialCycles() int64
 }
 
 // LoopMode tags how the active STL entry is executing; it routes used
@@ -71,7 +84,7 @@ type MachineBuckets struct {
 	SerialException int64 `json:"serial_exception"` // exception dispatch outside STLs
 	Idle            int64 `json:"idle"`             // CPU parked with no thread assigned
 	Cancelled       int64 `json:"cancelled"`        // tentative attempt cycles left in flight when the run stopped
-	Leaked          int64 `json:"leaked"`           // tentatives found stale at an STL boundary (must stay 0)
+	Leaked          int64 `json:"leaked"`           // attempt or handler cycles judged outside any STL (must stay 0)
 	// InFlight is the watermark overrun past the final clock: cycles of the
 	// last charged instruction spans that the halted/cancelled run never
 	// reached. It is zero on every cleanly halted run and is the correction
@@ -184,48 +197,31 @@ type loopState struct {
 // NewLedger builds a ledger for an ncpu machine.
 func NewLedger(ncpu int) *Ledger {
 	return &Ledger{
-		ncpu:      ncpu,
-		acct:      make([]int64, ncpu),
-		tentRun:   make([]int64, ncpu),
-		tentWaitC: make([]int64, ncpu),
-		tentWaitO: make([]int64, ncpu),
-		loops:     map[int64]*loopState{},
+		ncpu:  ncpu,
+		own:   make([]int64, ncpu),
+		loops: map[int64]*loopState{},
 	}
 }
+
+// SetSource attaches the attempt accounting the ledger refines (the tls
+// unit does this when the ledger is attached to it). The source must not
+// have charged any cycles yet.
+func (l *Ledger) SetSource(src AttemptSource) { l.src = src }
 
 // SetSymbolizer installs the address-to-site resolver (hydra installs a
 // closure over the machine so frame addresses resolve against the violating
 // CPU's frame pointer at broadcast time).
 func (l *Ledger) SetSymbolizer(fn func(cpu int, addr int64) SiteKey) { l.symbolize = fn }
 
-// --- delta charges (mirror tls attempt accounting 1:1) ---
-
-// ChargeSerial attributes non-speculative execution cycles.
-func (l *Ledger) ChargeSerial(cpu int, cycles int64) {
-	l.acct[cpu] += cycles
-	l.mach.Serial += cycles
+// watermark returns the cycles attributed to cpu so far.
+func (l *Ledger) watermark(cpu int) int64 {
+	return l.src.ChargedCycles(cpu) + l.own[cpu]
 }
 
-// ChargeRun adds tentative speculative run cycles for cpu's attempt.
-func (l *Ledger) ChargeRun(cpu int, cycles int64) {
-	l.acct[cpu] += cycles
-	l.tentRun[cpu] += cycles
-}
-
-// ChargeWait adds tentative head-wait cycles; overflow distinguishes
-// buffer-overflow stalls from ordinary commit waiting.
-func (l *Ledger) ChargeWait(cpu int, cycles int64, overflow bool) {
-	l.acct[cpu] += cycles
-	if overflow {
-		l.tentWaitO[cpu] += cycles
-	} else {
-		l.tentWaitC[cpu] += cycles
-	}
-}
+// --- refinements of the tls unit's accounting ---
 
 // ChargeEOI attributes the end-of-iteration handler cost.
-func (l *Ledger) ChargeEOI(cpu int, cycles int64) {
-	l.acct[cpu] += cycles
+func (l *Ledger) ChargeEOI(cycles int64) {
 	if l.cur != nil {
 		l.cur.b.HandlerEOI += cycles
 	} else {
@@ -235,8 +231,7 @@ func (l *Ledger) ChargeEOI(cpu int, cycles int64) {
 
 // ChargeRestart attributes the restart handler cost charged to a violated
 // thread's next attempt.
-func (l *Ledger) ChargeRestart(cpu int, cycles int64) {
-	l.acct[cpu] += cycles
+func (l *Ledger) ChargeRestart(cycles int64) {
 	if l.cur != nil {
 		l.cur.b.HandlerRestart += cycles
 	} else {
@@ -244,38 +239,36 @@ func (l *Ledger) ChargeRestart(cpu int, cycles int64) {
 	}
 }
 
-// FlushAttempt resolves cpu's tentative run/wait cycles: committed attempts
-// land in the used buckets of the current mode, discarded attempts land in
-// the violated buckets and feed the pending violation site, if any.
-func (l *Ledger) FlushAttempt(cpu int, used bool) {
-	run, wc, wo := l.tentRun[cpu], l.tentWaitC[cpu], l.tentWaitO[cpu]
-	l.tentRun[cpu], l.tentWaitC[cpu], l.tentWaitO[cpu] = 0, 0, 0
+// FlushAttempt judges one flushed attempt's run, commit-wait and
+// overflow-wait cycles: committed attempts land in the used buckets of the
+// current mode, discarded attempts land in the violated buckets and feed the
+// pending violation site, if any.
+func (l *Ledger) FlushAttempt(used bool, run, wc, wo int64) {
 	if run == 0 && wc == 0 && wo == 0 && (used || l.curSite == nil) {
 		return
 	}
-	lb := &l.mach
-	if l.cur != nil {
-		switch {
-		case !used:
-			l.cur.b.RunViolated += run
-			l.cur.b.WaitViolated += wc + wo
-			if l.curSite != nil {
-				l.curSite.Count++
-				l.curSite.DiscardedRun += run
-				l.curSite.DiscardedWait += wc + wo
-			}
-		case l.mode == LoopSolo:
-			l.cur.b.GuardSolo += run + wc + wo
-		case l.mode == LoopProbe:
-			l.cur.b.GuardProbe += run + wc + wo
-		default:
-			l.cur.b.RunUsed += run
-			l.cur.b.WaitCommit += wc
-			l.cur.b.WaitOverflow += wo
-		}
+	if l.cur == nil {
+		l.mach.Leaked += run + wc + wo
 		return
 	}
-	lb.Leaked += run + wc + wo
+	switch {
+	case !used:
+		l.cur.b.RunViolated += run
+		l.cur.b.WaitViolated += wc + wo
+		if l.curSite != nil {
+			l.curSite.Count++
+			l.curSite.DiscardedRun += run
+			l.curSite.DiscardedWait += wc + wo
+		}
+	case l.mode == LoopSolo:
+		l.cur.b.GuardSolo += run + wc + wo
+	case l.mode == LoopProbe:
+		l.cur.b.GuardProbe += run + wc + wo
+	default:
+		l.cur.b.RunUsed += run
+		l.cur.b.WaitCommit += wc
+		l.cur.b.WaitOverflow += wo
+	}
 }
 
 // --- violation attribution ---
@@ -323,16 +316,18 @@ func (l *Ledger) site(key SiteKey) *SiteStats {
 
 // --- absolute spans (hydra scheduling points) ---
 
-// span sweeps any gap below `clock` into Idle (the CPU was parked with no
-// thread) and charges acct..until to *bucket.
+// span sweeps any gap between cpu's watermark and `clock` into Idle (the CPU
+// was parked with no thread) and charges the rest up to `until` to *bucket.
 func (l *Ledger) span(cpu int, clock, until int64, bucket *int64) {
-	if d := clock - l.acct[cpu]; d > 0 {
+	w := l.watermark(cpu)
+	if d := clock - w; d > 0 {
 		l.mach.Idle += d
-		l.acct[cpu] = clock
+		l.own[cpu] += d
+		w = clock
 	}
-	if d := until - l.acct[cpu]; d > 0 {
+	if d := until - w; d > 0 {
 		*bucket += d
-		l.acct[cpu] = until
+		l.own[cpu] += d
 	}
 }
 
@@ -383,7 +378,6 @@ func (l *Ledger) SpanException(cpu int, clock, until int64) {
 
 // BeginSTL opens accounting for one STL entry.
 func (l *Ledger) BeginSTL(loopID int64, mode LoopMode) {
-	l.sweepTentatives(&l.mach.Leaked)
 	l.cur = l.loop(loopID)
 	l.cur.entries++
 	l.mode = mode
@@ -401,7 +395,6 @@ func (l *Ledger) SetMode(mode LoopMode) { l.mode = mode }
 
 // EndSTL closes accounting for the active STL.
 func (l *Ledger) EndSTL() {
-	l.sweepTentatives(&l.mach.Leaked)
 	l.cur = nil
 	l.curSite = nil
 	l.mode = LoopParallel
@@ -416,34 +409,29 @@ func (l *Ledger) loop(id int64) *loopState {
 	return ls
 }
 
-func (l *Ledger) sweepTentatives(into *int64) {
-	for cpu := 0; cpu < l.ncpu; cpu++ {
-		if s := l.tentRun[cpu] + l.tentWaitC[cpu] + l.tentWaitO[cpu]; s != 0 {
-			*into += s
-			l.tentRun[cpu], l.tentWaitC[cpu], l.tentWaitO[cpu] = 0, 0, 0
-		}
-	}
-}
-
 // Close finalizes the ledger at the machine's final clock: unclaimed cycles
 // below the clock sweep into Idle, watermark overruns past it are recorded
-// as InFlight, and attempts still in flight (a cancelled or budget-stopped
-// run) land in Cancelled. Idempotent: only the first Close takes effect.
+// as InFlight, attempts still in flight (a cancelled or budget-stopped run)
+// land in Cancelled, and the serial total is read. Close is the ledger's
+// last read of its source, so the unit may be recycled afterwards.
+// Idempotent: only the first Close takes effect.
 func (l *Ledger) Close(clock int64) {
 	if l.closed {
 		return
 	}
 	l.closed = true
 	l.wall = clock
-	l.sweepTentatives(&l.mach.Cancelled)
+	l.mach.Serial = l.src.SerialCycles()
 	for cpu := 0; cpu < l.ncpu; cpu++ {
-		if d := clock - l.acct[cpu]; d > 0 {
+		l.mach.Cancelled += l.src.PendingCycles(cpu)
+		if d := clock - l.watermark(cpu); d > 0 {
 			l.mach.Idle += d
-			l.acct[cpu] = clock
+			l.own[cpu] += d
 		} else if d < 0 {
 			l.mach.InFlight += -d
 		}
 	}
+	l.src = nil
 }
 
 // LoopLedger is the snapshot of one loop's accounting.

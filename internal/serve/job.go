@@ -125,17 +125,15 @@ type job struct {
 	wire     []byte           // canonical codec encoding of the full result, set on success
 	bkey     string           // circuit-breaker key
 
-	cc      *core.CheckpointController // live while a checkpointable attempt runs
-	ckpt    []byte                     // latest encoded checkpoint envelope
-	ckptSeq int64
+	cc   *core.CheckpointController // live while a checkpointable attempt runs
+	ckpt []byte                     // latest encoded checkpoint envelope
 }
 
 // setCheckpoint publishes the latest encoded checkpoint. The slice is never
 // mutated afterwards, so readers share it.
-func (j *job) setCheckpoint(wire []byte, seq int64) {
+func (j *job) setCheckpoint(wire []byte) {
 	j.mu.Lock()
 	j.ckpt = wire
-	j.ckptSeq = seq
 	j.mu.Unlock()
 }
 
@@ -423,11 +421,16 @@ func buildProgram(spec JobSpec) (*bytecode.Program, int, error) {
 	return bp, 0, nil
 }
 
-// optionsFor builds the exact core.Options a job attempt runs with, given
-// the heap sizing the program build resolved. Receiver must already have
-// defaults applied. The runtime-only fields (Ctx, Recorder) are left zero;
-// the attempt path attaches them.
-func (c Config) optionsFor(spec JobSpec, rung Rung, heapWords int) (core.Options, error) {
+// OptionsFor resolves the effective simulation options a job submitted with
+// spec runs with at the given rung, given the heap size its program build
+// resolved (BuildProgram's second result). It is the single source of truth
+// shared by the attempt path, the fleet router's cache key, and the
+// conformance oracle's direct leg — a drift between "what the server runs"
+// and "what the key describes" would silently poison the fleet cache, so
+// there is exactly one derivation. The runtime-only fields (Ctx, Recorder,
+// Checkpoint) are left zero; the attempt path attaches them.
+func (c Config) OptionsFor(spec JobSpec, rung Rung, heapWords int) (core.Options, error) {
+	c = c.withDefaults()
 	opts := core.DefaultOptions()
 	opts.Tier2Off = c.Tier2Off
 	if spec.NCPU > 0 {
@@ -457,21 +460,6 @@ func (c Config) optionsFor(spec JobSpec, rung Rung, heapWords int) (core.Options
 		opts.Diagnose = spec.Diagnose
 	}
 	return opts, nil
-}
-
-// OptionsForSpec resolves the effective simulation options a job submitted
-// with spec would run with at the given rung. It is the single source of
-// truth shared by the attempt path, the fleet router's cache key, and the
-// conformance oracle's direct leg — a drift between "what the server runs"
-// and "what the key describes" would silently poison the fleet cache, so
-// there is exactly one derivation.
-func (c Config) OptionsForSpec(spec JobSpec, rung Rung) (core.Options, error) {
-	c = c.withDefaults()
-	_, heapWords, err := buildProgram(spec)
-	if err != nil {
-		return core.Options{}, err
-	}
-	return c.optionsFor(spec, rung, heapWords)
 }
 
 // checkpointEligible reports whether a job's attempts may capture (and
@@ -505,7 +493,7 @@ func (s *Server) attempt(ctx context.Context, rung Rung, spec JobSpec, ring *obs
 	if err != nil {
 		return nil, false, err
 	}
-	opts, err := s.cfg.optionsFor(spec, rung, heapWords)
+	opts, err := s.cfg.OptionsFor(spec, rung, heapWords)
 	if err != nil {
 		return nil, false, err
 	}
@@ -560,7 +548,6 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	j.markRunning()
-	s.journalAppend(journalRecord{Event: evRunning, ID: j.view.ID})
 	s.reg.Gauge("jrpm_serve_jobs_running").Set(float64(s.running.Add(1)))
 	defer func() {
 		s.reg.Gauge("jrpm_serve_jobs_running").Set(float64(s.running.Add(-1)))
@@ -584,16 +571,16 @@ func (s *Server) runJob(j *job) {
 	if checkpointEligible(spec) {
 		id := j.view.ID
 		cc = &core.CheckpointController{}
-		cc.OnCheckpoint = func(cp *core.Checkpoint, seq int64) {
+		cc.OnCheckpoint = func(cp *core.Checkpoint, _ int64) {
 			wire := codec.EncodeCheckpoint(cp)
-			j.setCheckpoint(wire, seq)
+			j.setCheckpoint(wire)
 			if s.journal != nil {
 				if err := s.journal.writeCheckpoint(id, wire); err != nil {
 					s.reg.Counter("jrpm_serve_journal_errors_total").Inc()
 					return
 				}
 			}
-			s.journalAppend(journalRecord{Event: evCheckpointed, ID: id, Rung: cp.Label, Seq: seq})
+			s.journalAppend(journalRecord{Event: evCheckpointed, ID: id})
 			s.reg.Counter("jrpm_serve_checkpoints_total").Inc()
 		}
 		j.setController(cc)
@@ -698,40 +685,12 @@ func (s *Server) runJob(j *job) {
 }
 
 // addTierMetrics folds a finished job's tier-2 block-engine counters into
-// the server registry, summed over the pipeline phases, so /metrics exposes
-// fleet-wide engine activity (and, via the demotion reasons, why workloads
-// leave the fast tier).
+// the server registry, unlabelled: every phase adds into the same counters,
+// so /metrics exposes engine activity summed over jobs and phases (and, via
+// the demotion reasons, why workloads leave the fast tier).
 func (s *Server) addTierMetrics(res *core.Result) {
-	var t hydra.TierStats
 	for _, p := range []*core.Phase{&res.Seq, &res.Profile, &res.TLS} {
-		t.Promotions += p.Tier.Promotions
-		t.BlocksCompiled += p.Tier.BlocksCompiled
-		t.CacheHits += p.Tier.CacheHits
-		t.CacheMisses += p.Tier.CacheMisses
-		t.Linked += p.Tier.Linked
-		t.InterpSteps += p.Tier.InterpSteps
-		t.SpecStretches += p.Tier.SpecStretches
-		t.SpecStretchInstrs += p.Tier.SpecStretchInstrs
-		t.SpecSleeps += p.Tier.SpecSleeps
-		t.SpecRewinds += p.Tier.SpecRewinds
-		for r := range t.Demote {
-			t.Demote[r] += p.Tier.Demote[r]
-		}
-	}
-	s.reg.Counter("jrpm_tier_promotions_total").Add(t.Promotions)
-	s.reg.Counter("jrpm_tier_blocks_compiled_total").Add(t.BlocksCompiled)
-	s.reg.Counter("jrpm_tier_cache_hits_total").Add(t.CacheHits)
-	s.reg.Counter("jrpm_tier_cache_misses_total").Add(t.CacheMisses)
-	s.reg.Counter("jrpm_tier_links_total").Add(t.Linked)
-	s.reg.Counter("jrpm_tier_interp_steps_total").Add(t.InterpSteps)
-	s.reg.Counter("jrpm_tier_spec_stretches_total").Add(t.SpecStretches)
-	s.reg.Counter("jrpm_tier_spec_stretch_instructions_total").Add(t.SpecStretchInstrs)
-	s.reg.Counter("jrpm_tier_spec_sleeps_total").Add(t.SpecSleeps)
-	s.reg.Counter("jrpm_tier_spec_rewinds_total").Add(t.SpecRewinds)
-	for r := hydra.DemoteReason(0); r < hydra.NumDemoteReasons; r++ {
-		if v := t.Demote[r]; v != 0 {
-			s.reg.Counter(fmt.Sprintf("jrpm_tier_demotions_total{reason=%q}", r)).Add(v)
-		}
+		p.Tier.FillMetrics(s.reg, "")
 	}
 }
 

@@ -8,7 +8,8 @@
 //	results/job-N.bin     canonical result wire bytes, written before "done"
 //
 // The journal is the source of truth for the job state machine
-// accepted → running → checkpointed(seq) → done. Every transition is
+// accepted → checkpointed* → done: a job is accepted once, checkpointed
+// each time a safepoint snapshot lands, and done once. Every transition is
 // fsync'd before it is acknowledged, so after kill -9 a replay sees every
 // job the server ever accepted: terminal jobs are restored for inspection
 // (their result bytes are already durable — the done record is written
@@ -31,7 +32,6 @@ import (
 // Journal event names, in job-lifecycle order.
 const (
 	evAccepted     = "accepted"
-	evRunning      = "running"
 	evCheckpointed = "checkpointed"
 	evDone         = "done"
 )
@@ -41,19 +41,15 @@ type journalRecord struct {
 	Event string   `json:"event"`
 	ID    int64    `json:"id"`
 	Spec  *JobSpec `json:"spec,omitempty"` // accepted: the validated submission
-	Rung  string   `json:"rung,omitempty"` // checkpointed: ladder rung of the snapshot
-	Seq   int64    `json:"seq,omitempty"`  // checkpointed: controller delivery sequence
 	View  *JobView `json:"view,omitempty"` // done: the terminal snapshot
 }
 
 // recoveredJob is one job's replayed state.
 type recoveredJob struct {
-	ID       int64
-	Spec     JobSpec
-	HasCkpt  bool
-	CkptRung string
-	CkptSeq  int64
-	View     *JobView // non-nil once terminal
+	ID      int64
+	Spec    JobSpec
+	HasCkpt bool     // a checkpointed record replayed: a checkpoint file is on disk
+	View    *JobView // non-nil once terminal
 }
 
 // journal is the fsync'd WAL plus its sibling files. Append is serialized;
@@ -137,8 +133,6 @@ func replayJournal(path string) ([]*recoveredJob, error) {
 		case evCheckpointed:
 			if j := byID[rec.ID]; j != nil {
 				j.HasCkpt = true
-				j.CkptRung = rec.Rung
-				j.CkptSeq = rec.Seq
 			}
 		case evDone:
 			if j := byID[rec.ID]; j != nil {

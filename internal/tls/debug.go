@@ -35,6 +35,7 @@ func (u *Unit) DebugAppendState(b []byte) []byte {
 		b = appendDebugBool(b, t.overflowed)
 		b = binary.LittleEndian.AppendUint64(b, uint64(t.run))
 		b = binary.LittleEndian.AppendUint64(b, uint64(t.wait))
+		b = binary.LittleEndian.AppendUint64(b, uint64(t.waitO))
 		b = binary.LittleEndian.AppendUint64(b, uint64(t.overhead))
 
 		sb := t.buf

@@ -7,6 +7,8 @@
 // must travel is exactly the cumulative accounting ResetStats clears — the
 // Figure 10 state buckets and the event/buffer-usage counters — plus the
 // guard's full per-loop decision state, which steers future STL entries.
+// The per-CPU charged totals stay behind: only the doctor's ledger reads
+// them, and a machine with a ledger attached takes no snapshots.
 //
 // The field order of UnitState deliberately mirrors DebugAppendState
 // (debug.go): activation first, then counters in declaration order. The two

@@ -78,16 +78,16 @@ func DefaultConfig(ncpu int) Config {
 type ChargeKind int
 
 // Charge kinds. Run covers application computation (including memory
-// stalls); Wait covers waiting to become head and overflow stalls; Overhead
-// covers TLS handler cycles.
+// stalls); Wait covers waiting to become head. Handler cycles are not a
+// charge kind: the unit adds them itself (Start, CommitEOI, ViolateFrom,
+// Shutdown).
 const (
 	ChargeRun ChargeKind = iota
 	ChargeWait
-	ChargeOverhead
-	// ChargeWaitOverflow is ChargeWait refined for the doctor's ledger: the
-	// thread is stalled on speculative-buffer overflow rather than ordinary
-	// head-commit ordering. StateStats makes no distinction (both land in the
-	// attempt's wait counter); only the attached obs.Ledger does.
+	// ChargeWaitOverflow is ChargeWait while the thread is stalled on
+	// speculative-buffer overflow rather than ordinary head-commit ordering.
+	// StateStats makes no distinction (both are the attempt's wait); the
+	// attempt keeps the share apart for an attached obs.Ledger.
 	ChargeWaitOverflow
 )
 
@@ -133,8 +133,14 @@ type thread struct {
 	overflowed bool
 
 	// Tentative cycle accounting for the current attempt (flushed to
-	// StateStats on commit or violation).
-	run, wait, overhead int64
+	// StateStats on commit or violation). waitO is the overflow-stall share
+	// of the attempt's wait, kept apart from wait.
+	run, wait, waitO, overhead int64
+
+	// charged is every cycle charged to this CPU since Reset: serial and
+	// attempt cycles and the EOI and restart handler costs. Only an attached
+	// ledger reads it, as its per-CPU watermark.
+	charged int64
 }
 
 func (t *thread) resetSpecState() {
@@ -174,7 +180,7 @@ type Unit struct {
 	committedLoads  int64
 	committedStores int64
 
-	// led mirrors the attempt accounting into the doctor's per-loop cycle
+	// led refines the attempt accounting into the doctor's per-loop cycle
 	// ledger when attached (nil in ordinary runs; pure observation, never
 	// feeds back into Stats or scheduling).
 	led *obs.Ledger
@@ -223,8 +229,14 @@ func (u *Unit) Config() Config { return u.cfg }
 // SetInjector attaches a fault injector (nil disables injection).
 func (u *Unit) SetInjector(inj *faultinject.Injector) { u.inj = inj }
 
-// SetLedger attaches the doctor's cycle-conservation ledger (nil detaches).
-func (u *Unit) SetLedger(led *obs.Ledger) { u.led = led }
+// SetLedger attaches the doctor's cycle-conservation ledger, which then
+// reads its watermarks from this unit (nil detaches).
+func (u *Unit) SetLedger(led *obs.Ledger) {
+	u.led = led
+	if led != nil {
+		led.SetSource(u)
+	}
+}
 
 // SetSettle installs the hook run before any attempt flush or discard
 // (commit, violation, kill, shutdown, switch); nil removes it. Reset
@@ -294,7 +306,7 @@ func (u *Unit) assign(stlID int64, headCPU int, baseIter int64) {
 				t.iter = -1
 			}
 			t.resetSpecState()
-			t.run, t.wait, t.overhead = 0, 0, 0
+			t.run, t.wait, t.waitO, t.overhead = 0, 0, 0, 0
 		}
 		return
 	}
@@ -303,7 +315,7 @@ func (u *Unit) assign(stlID int64, headCPU int, baseIter int64) {
 		t := u.threads[(headCPU+off)%n]
 		t.iter = baseIter + int64(off)
 		t.resetSpecState()
-		t.run, t.wait, t.overhead = 0, 0, 0
+		t.run, t.wait, t.waitO, t.overhead = 0, 0, 0, 0
 	}
 }
 
@@ -389,61 +401,61 @@ func (u *Unit) IsHead(cpu int) bool {
 // ChargeAttempt adds cycles to the current attempt of cpu's thread. When
 // speculation is inactive the cycles go straight to the Serial bucket.
 func (u *Unit) ChargeAttempt(cpu int, kind ChargeKind, cycles int64) {
+	t := u.threads[cpu]
+	t.charged += cycles
 	if !u.active {
 		u.Stats.Serial += cycles
 		return
 	}
-	t := u.threads[cpu]
 	switch kind {
 	case ChargeRun:
 		t.run += cycles
-	case ChargeWait, ChargeWaitOverflow:
+	case ChargeWait:
 		t.wait += cycles
-	case ChargeOverhead:
-		t.overhead += cycles
+	case ChargeWaitOverflow:
+		t.waitO += cycles
 	}
 }
 
-// ChargeAttemptDiag is ChargeAttempt with the charge mirrored into the
-// doctor's ledger. It is a separate entry point — not a branch inside
-// ChargeAttempt — so the undiagnosed per-instruction path keeps its
-// inlining; hydra selects it once per charge site when a ledger is
-// attached. Callers must only use it when a ledger is attached.
-func (u *Unit) ChargeAttemptDiag(cpu int, kind ChargeKind, cycles int64) {
-	u.ChargeAttempt(cpu, kind, cycles)
-	if !u.active {
-		u.led.ChargeSerial(cpu, cycles)
-		return
-	}
-	switch kind {
-	case ChargeRun:
-		u.led.ChargeRun(cpu, cycles)
-	case ChargeWait, ChargeWaitOverflow:
-		u.led.ChargeWait(cpu, cycles, kind == ChargeWaitOverflow)
-	case ChargeOverhead:
-		// No ledger mirror: nothing in hydra charges ChargeOverhead today
-		// (handler costs flow through the dedicated hooks; the ledger would
-		// have no bucket to refine it into).
-	}
+// ChargedCycles returns every cycle charged to cpu since Reset, handler
+// costs included.
+func (u *Unit) ChargedCycles(cpu int) int64 { return u.threads[cpu].charged }
+
+// PendingCycles returns the run and wait cycles of cpu's attempt that no
+// flush has judged yet.
+func (u *Unit) PendingCycles(cpu int) int64 {
+	t := u.threads[cpu]
+	return t.run + t.wait + t.waitO
 }
 
-// flushAttempt moves tentative cycles into the used or violated buckets.
+// SerialCycles returns the cycles charged outside speculation.
+func (u *Unit) SerialCycles() int64 { return u.Stats.Serial }
+
+// flushAttempt moves tentative cycles into the used or violated buckets and
+// hands the attempt's run, commit-wait and overflow-wait split to an
+// attached ledger.
 func (u *Unit) flushAttempt(cpu int, t *thread, used bool) {
 	if u.settle != nil {
 		u.settle(cpu)
 	}
 	if used {
 		u.Stats.RunUsed += t.run
-		u.Stats.WaitUsed += t.wait
+		u.Stats.WaitUsed += t.wait + t.waitO
 	} else {
 		u.Stats.RunViolated += t.run
-		u.Stats.WaitViolated += t.wait
+		u.Stats.WaitViolated += t.wait + t.waitO
 	}
 	u.Stats.Overhead += t.overhead
-	t.run, t.wait, t.overhead = 0, 0, 0
 	if u.led != nil {
-		u.led.FlushAttempt(cpu, used)
+		u.led.FlushAttempt(used, t.run, t.wait, t.waitO)
 	}
+	t.run, t.wait, t.waitO, t.overhead = 0, 0, 0, 0
+}
+
+// chargeHandler adds a handler cost to the attempt the thread starts next.
+func (t *thread) chargeHandler(cycles int64) {
+	t.overhead += cycles
+	t.charged += cycles
 }
 
 // Load performs a speculative load by cpu. It returns the value, the charged
@@ -562,6 +574,20 @@ func (u *Unit) broadcast(cpu int, a mem.Addr) []int {
 	return u.ViolateFrom(oldest)
 }
 
+// ViolateSynthetic is ViolateFrom for a discard no store caused: a
+// collection quiescing the younger threads (obs.SiteGC) or an injected RAW
+// fault (obs.SiteInjected). An attached ledger charges the discarded
+// attempts to that synthetic site.
+func (u *Unit) ViolateSynthetic(fromIter int64, site obs.SiteKind) []int {
+	if u.led != nil {
+		u.led.BeginSyntheticViolation(site)
+		cpus := u.ViolateFrom(fromIter)
+		u.led.EndViolation()
+		return cpus
+	}
+	return u.ViolateFrom(fromIter)
+}
+
 // ViolateFrom restarts every thread with iteration >= fromIter: speculative
 // state is discarded, tentative cycles flush to the violated buckets, and
 // the restart handler cost is charged. It returns the affected CPUs; the
@@ -573,9 +599,9 @@ func (u *Unit) ViolateFrom(fromIter int64) []int {
 			u.Violations++
 			u.flushAttempt(c, t, false)
 			t.resetSpecState()
-			t.overhead += u.cfg.Handlers.Restart
+			t.chargeHandler(u.cfg.Handlers.Restart)
 			if u.led != nil {
-				u.led.ChargeRestart(c, u.cfg.Handlers.Restart)
+				u.led.ChargeRestart(u.cfg.Handlers.Restart)
 			}
 			cpus = append(cpus, c)
 		}
@@ -668,9 +694,9 @@ func (u *Unit) CommitEOI(cpu int) error {
 	u.nextCommit++
 	t.iter = u.nextSpawn
 	u.nextSpawn++
-	t.overhead += u.cfg.Handlers.EOI
+	t.chargeHandler(u.cfg.Handlers.EOI)
 	if u.led != nil {
-		u.led.ChargeEOI(cpu, u.cfg.Handlers.EOI)
+		u.led.ChargeEOI(u.cfg.Handlers.EOI)
 	}
 	return nil
 }
@@ -730,10 +756,6 @@ func (u *Unit) Shutdown(cpu int) ([]int, error) {
 	u.solo = false
 	return killed, nil
 }
-
-// ChargeSerial adds cycles to the Serial bucket directly (used by the
-// machine for non-speculative execution).
-func (u *Unit) ChargeSerial(cycles int64) { u.Stats.Serial += cycles }
 
 // ResetStats clears the accumulated statistics (between program phases).
 func (u *Unit) ResetStats() {

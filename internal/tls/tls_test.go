@@ -415,10 +415,6 @@ func TestSerialChargingWhenInactive(t *testing.T) {
 	if u.Stats.Serial != 77 {
 		t.Errorf("inactive charge should be serial, got %+v", u.Stats)
 	}
-	u.ChargeSerial(3)
-	if u.Stats.Serial != 80 {
-		t.Errorf("serial = %d", u.Stats.Serial)
-	}
 }
 
 func TestStatsTotalAndAdd(t *testing.T) {
@@ -489,7 +485,7 @@ func TestAvgBufferUsage(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	u, _ := newTestUnit(2)
-	u.ChargeSerial(5)
+	u.ChargeAttempt(0, ChargeRun, 5)
 	u.ResetStats()
 	if u.Stats.Total() != 0 || u.Commits != 0 {
 		t.Error("reset incomplete")

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"sort"
 
 	"jrpm/internal/hydra"
@@ -72,10 +73,6 @@ func (v *VM) CollectGarbage(m *hydra.Machine, cpu int) {
 	}
 
 	// Collect surviving free spans from the shared and per-CPU lists.
-	type span struct {
-		addr mem.Addr
-		size int64
-	}
 	var spans []span
 	walk := func(headAddr mem.Addr) {
 		cur := m.RawRead(headAddr)
@@ -88,26 +85,68 @@ func (v *VM) CollectGarbage(m *hydra.Machine, cpu int) {
 	for i := range m.CPUs {
 		walk(v.heapBase + metaCPU0 + mem.Addr(i))
 	}
+	sortSpans(spans)
 
-	// Sweep: unmarked blocks become free spans.
-	freed := int64(0)
+	// Make the registry agree with memory. A speculative allocation
+	// registers its block at once, but the stores that carve it off its free
+	// span stay buffered: when the attempt is discarded, memory still lists
+	// those words as free. Such a block overlaps a free span and is
+	// forgotten, marked or not (only registers of dead attempts hold its
+	// address).
+	blocks := make([]span, 0, len(v.blocks))
 	for a, size := range v.blocks {
-		if !marked[a] {
-			spans = append(spans, span{a, size})
-			freed++
-			delete(v.blocks, a)
+		blocks = append(blocks, span{a, size})
+	}
+	sortSpans(blocks)
+	live := blocks[:0]
+	for _, b := range blocks {
+		// Free spans are disjoint, so only the last one starting below b's
+		// end can overlap b.
+		i := sort.Search(len(spans), func(i int) bool { return spans[i].addr >= b.end() })
+		if i > 0 && spans[i-1].end() > b.addr {
+			delete(v.blocks, b.addr)
+		} else {
+			live = append(live, b)
 		}
+	}
+
+	// Sweep: unmarked blocks become free spans. Registered blocks overlap
+	// only where a discarded attempt's block outlived the free span it came
+	// from; at most one of them is real, so an unmarked block that overlaps
+	// another is forgotten rather than freed, and no live object's words
+	// reach the free list.
+	freed := int64(0)
+	var end mem.Addr // highest end of the blocks so far
+	for i, b := range live {
+		overlaps := b.addr < end || i+1 < len(live) && live[i+1].addr < b.end()
+		end = max(end, b.end())
+		if marked[b.addr] {
+			continue
+		}
+		if !overlaps {
+			spans = append(spans, b)
+			freed++
+		}
+		delete(v.blocks, b.addr)
 	}
 	v.LastLive = int64(len(v.blocks))
 	v.LastFreed = freed
 
 	// Coalesce and rebuild the shared list (address order aids locality).
-	sort.Slice(spans, func(i, j int) bool { return spans[i].addr < spans[j].addr })
+	// The spans are disjoint by now; an overlap means the free lists in
+	// memory were corrupt, and the collector stops rather than hand the same
+	// words out twice.
+	sortSpans(spans)
 	var merged []span
 	for _, s := range spans {
-		if n := len(merged); n > 0 && merged[n-1].addr+mem.Addr(merged[n-1].size) == s.addr {
+		n := len(merged)
+		switch {
+		case n > 0 && s.addr < merged[n-1].end():
+			panic(fmt.Errorf("vm: collector: free spans [%d,+%d) and [%d,+%d) overlap",
+				merged[n-1].addr, merged[n-1].size, s.addr, s.size))
+		case n > 0 && s.addr == merged[n-1].end():
 			merged[n-1].size += s.size
-		} else {
+		default:
 			merged = append(merged, s)
 		}
 	}
@@ -124,4 +163,23 @@ func (v *VM) CollectGarbage(m *hydra.Machine, cpu int) {
 
 	// Collector cost: root/heap scan plus per-object mark/sweep work.
 	m.ChargeGC(cpu, 200+scanned/4+8*int64(len(marked))+4*freed)
+}
+
+// span is a run of heap words: a free-list entry or a registered block.
+type span struct {
+	addr mem.Addr
+	size int64
+}
+
+func (s span) end() mem.Addr { return s.addr + mem.Addr(s.size) }
+
+// sortSpans orders spans by address, then size: a total order, so equal
+// inputs rebuild the same free list whatever order the registry map gave.
+func sortSpans(s []span) {
+	sort.Slice(s, func(i, j int) bool {
+		if s[i].addr != s[j].addr {
+			return s[i].addr < s[j].addr
+		}
+		return s[i].size < s[j].size
+	})
 }

@@ -254,3 +254,47 @@ func TestGCResetsPrivateLists(t *testing.T) {
 		t.Fatal("heap unusable after GC")
 	}
 }
+
+// TestGCForgetsDiscardedAllocations: a speculative allocation registers its
+// block at once, but a discarded attempt loses the stores that carved it, so
+// memory still lists its words as free. The collector must forget such a
+// block whether or not a dead register still holds it, and must not free
+// one that lies inside a live block carved later from the same words.
+func TestGCForgetsDiscardedAllocations(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.HeapWords = metaWords + 200
+	v, m := newVMAndMachine(cfg)
+	first := v.heapBase + metaWords // the one free span
+	total := m.RawRead(first + blkSize)
+	discarded := func(classID int64) int64 {
+		size := m.RawRead(first + blkSize)
+		ref, _ := v.Alloc(m, 0, classID)
+		m.RawWrite(first+blkSize, size) // the carving store never commits
+		return ref
+	}
+
+	inside := discarded(0) // the span's last 4 words
+	live, _ := v.Alloc(m, 0, 1)
+	m.CPUs[0].Regs[isa.S0] = live // the span's last 12 words, rooted
+	if mem.Addr(inside) < mem.Addr(live) || inside+4 > live+12 {
+		t.Fatalf("block %d does not lie inside live block %d", inside, live)
+	}
+	rooted := discarded(0)
+	m.CPUs[1].Regs[isa.S0] = rooted // a dead attempt's register
+	v.CollectGarbage(m, 0)
+
+	if len(v.blocks) != 1 || v.blocks[mem.Addr(live)] != 12 {
+		t.Fatalf("registry %v after collection, want only the live block %d", v.blocks, live)
+	}
+	if v.LastFreed != 0 {
+		t.Errorf("freed %d blocks, want 0", v.LastFreed)
+	}
+	head := mem.Addr(m.RawRead(v.heapBase + metaShared))
+	if head != first || m.RawRead(first+blkSize) != total-12 || m.RawRead(first+blkNext) != 0 {
+		t.Fatalf("free list starts at %d with size %d, next %d; want one span %d of %d words",
+			head, m.RawRead(head+blkSize), m.RawRead(head+blkNext), first, total-12)
+	}
+	if m.RawRead(mem.Addr(live)) != 1 {
+		t.Error("live block's class word corrupted")
+	}
+}
