@@ -17,6 +17,7 @@
 package jrpm_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -85,7 +86,7 @@ func BenchmarkProgenPipeline(b *testing.B) {
 func BenchmarkParallelSuite(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := report.RunSuiteParallel(core.DefaultOptions(), nil); err != nil {
+		if _, err := report.RunSuite(context.Background(), core.DefaultOptions(), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

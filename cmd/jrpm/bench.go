@@ -75,7 +75,7 @@ func benchCmd(ctx context.Context, args []string) error {
 		if c.progress {
 			progress = stderr
 		}
-		if results, err = report.RunSuiteParallelContext(p.opts.Ctx, p.opts, nil, progress); err != nil {
+		if results, err = report.RunSuite(p.opts.Ctx, p.opts, nil, progress); err != nil {
 			return err
 		}
 		if err := p.publish(report.SuiteMetrics(results), stdout); err != nil {

@@ -349,7 +349,7 @@ func doctorCmd(ctx context.Context, args []string) error {
 	var write func(io.Writer) error
 	switch len(p.targets) {
 	case 0:
-		results, err := report.RunSuiteParallelContext(p.opts.Ctx, p.opts, nil, nil)
+		results, err := report.RunSuite(p.opts.Ctx, p.opts, nil, nil)
 		if err != nil {
 			return err
 		}

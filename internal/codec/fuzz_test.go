@@ -39,6 +39,9 @@ func FuzzCodec(f *testing.F) {
 			f.Add(seed, EncodeProgram(bp))
 		}
 	}
+	for _, in := range outOfRangeWires(f) {
+		f.Add(int64(6), in.wire)
+	}
 
 	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
 		// Property 1: seed-derived round-trips.

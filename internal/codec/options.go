@@ -1,7 +1,7 @@
 package codec
 
 import (
-	"sort"
+	"slices"
 
 	"jrpm/internal/analyzer"
 	"jrpm/internal/core"
@@ -9,7 +9,6 @@ import (
 	"jrpm/internal/mem"
 	"jrpm/internal/tls"
 	"jrpm/internal/tracer"
-	"jrpm/internal/vm"
 )
 
 // EncodeOptions renders the simulation-relevant subset of core.Options in
@@ -24,274 +23,140 @@ import (
 // outcome, and a flight-recorder ring cannot meaningfully travel in a
 // cache key. Decode returns them zero.
 func EncodeOptions(o core.Options) []byte {
-	return envelope(KindOptions, func(e *enc) {
-		var p enc
-		p.int(o.NCPU)
-		encHandlers(&p, o.Handlers)
-		encVMConfig(&p, o.VM)
-		p.i64(o.MaxCycles)
-		p.bool(o.AdaptiveReprofile)
-		p.bool(o.NoInline)
-		p.i64(o.StormLimit)
-		p.bool(o.Diagnose)
-		p.bool(o.Tier2Off)
-		e.section(p.b)
-
-		// Optional sub-configurations, one presence-flagged section each.
-		var sub enc
-		sub.bool(o.Analyzer != nil)
-		if o.Analyzer != nil {
-			encAnalyzerConfig(&sub, *o.Analyzer)
-		}
-		sub.bool(o.TLS != nil)
-		if o.TLS != nil {
-			encTLSConfig(&sub, *o.TLS)
-		}
-		sub.bool(o.Cache != nil)
-		if o.Cache != nil {
-			encCacheConfig(&sub, *o.Cache)
-		}
-		sub.bool(o.Tracer != nil)
-		if o.Tracer != nil {
-			encTracerConfig(&sub, *o.Tracer)
-		}
-		sub.bool(o.Faults != nil)
-		if o.Faults != nil {
-			encFaultPlan(&sub, *o.Faults)
-		}
-		sub.bool(o.Guard != nil)
-		if o.Guard != nil {
-			encGuardConfig(&sub, *o.Guard)
-		}
-		e.section(sub.b)
-	})
+	return encode(KindOptions, &o, (*coder).options)
 }
 
 // DecodeOptions parses a canonical options encoding.
 func DecodeOptions(b []byte) (core.Options, error) {
 	var o core.Options
-	d, err := openEnvelope(b, KindOptions)
-	if err != nil {
-		return o, err
-	}
-
-	p := d.section()
-	o.NCPU = p.int()
-	o.Handlers = decHandlers(p)
-	o.VM = decVMConfig(p)
-	o.MaxCycles = p.i64()
-	o.AdaptiveReprofile = p.bool()
-	o.NoInline = p.bool()
-	o.StormLimit = p.i64()
-	o.Diagnose = p.bool()
-	o.Tier2Off = p.bool()
-	if err := p.finish("options scalars"); err != nil {
-		return core.Options{}, err
-	}
-
-	sub := d.section()
-	if sub.bool() {
-		a := decAnalyzerConfig(sub)
-		o.Analyzer = &a
-	}
-	if sub.bool() {
-		t := decTLSConfig(sub)
-		o.TLS = &t
-	}
-	if sub.bool() {
-		c := decCacheConfig(sub)
-		o.Cache = &c
-	}
-	if sub.bool() {
-		t := decTracerConfig(sub)
-		o.Tracer = &t
-	}
-	if sub.bool() {
-		f := decFaultPlan(sub)
-		o.Faults = &f
-	}
-	if sub.bool() {
-		g := decGuardConfig(sub)
-		o.Guard = &g
-	}
-	if err := sub.finish("options subconfigs"); err != nil {
-		return core.Options{}, err
-	}
-	if err := d.finish("options"); err != nil {
+	if err := decode(b, KindOptions, &o, (*coder).options); err != nil {
 		return core.Options{}, err
 	}
 	return o, nil
 }
 
-func encHandlers(e *enc, h tls.HandlerCosts) {
-	e.i64(h.Startup)
-	e.i64(h.Shutdown)
-	e.i64(h.EOI)
-	e.i64(h.Restart)
+func (c *coder) options(o *core.Options) {
+	s := c.open()
+	c.int(&o.NCPU)
+	c.handlers(&o.Handlers)
+	c.bool(&o.VM.ParallelAlloc)
+	c.bool(&o.VM.ElideLocks)
+	c.int(&o.VM.HeapWords)
+	c.int(&o.VM.ChunkWords)
+	c.i64(&o.MaxCycles)
+	c.bool(&o.AdaptiveReprofile)
+	c.bool(&o.NoInline)
+	c.i64(&o.StormLimit)
+	c.bool(&o.Diagnose)
+	c.bool(&o.Tier2Off)
+	c.close(s, "options scalars")
+
+	// Optional sub-configurations, each behind a presence flag.
+	s = c.open()
+	optional(c, &o.Analyzer, (*coder).analyzerConfig)
+	optional(c, &o.TLS, (*coder).tlsConfig)
+	optional(c, &o.Cache, (*coder).cacheConfig)
+	optional(c, &o.Tracer, (*coder).tracerConfig)
+	optional(c, &o.Faults, (*coder).faultPlan)
+	optional(c, &o.Guard, (*coder).guardConfig)
+	c.close(s, "options subconfigs")
 }
 
-func decHandlers(d *dec) tls.HandlerCosts {
-	return tls.HandlerCosts{Startup: d.i64(), Shutdown: d.i64(), EOI: d.i64(), Restart: d.i64()}
+func (c *coder) handlers(h *tls.HandlerCosts) {
+	c.i64(&h.Startup)
+	c.i64(&h.Shutdown)
+	c.i64(&h.EOI)
+	c.i64(&h.Restart)
 }
 
-func encVMConfig(e *enc, c vm.Config) {
-	e.bool(c.ParallelAlloc)
-	e.bool(c.ElideLocks)
-	e.int(c.HeapWords)
-	e.int(c.ChunkWords)
+func (c *coder) tlsConfig(t *tls.Config) {
+	c.int(&t.NCPU)
+	c.int(&t.StoreBufferLines)
+	c.int(&t.LoadBufferLines)
+	c.handlers(&t.Handlers)
+	c.bool(&t.ChaosNoWordValid)
 }
 
-func decVMConfig(d *dec) vm.Config {
-	return vm.Config{
-		ParallelAlloc: d.bool(), ElideLocks: d.bool(),
-		HeapWords: d.int(), ChunkWords: d.int(),
-	}
+func (c *coder) cacheConfig(m *mem.CacheConfig) {
+	c.int(&m.NCPU)
+	c.int(&m.L1Lines)
+	c.int(&m.L1Assoc)
+	c.int(&m.L2Lines)
+	c.int(&m.L2Assoc)
+	c.i64(&m.LatL1)
+	c.i64(&m.LatL2)
+	c.i64(&m.LatMem)
+	c.i64(&m.LatInter)
 }
 
-func encTLSConfig(e *enc, c tls.Config) {
-	e.int(c.NCPU)
-	e.int(c.StoreBufferLines)
-	e.int(c.LoadBufferLines)
-	encHandlers(e, c.Handlers)
-	e.bool(c.ChaosNoWordValid)
+func (c *coder) tracerConfig(t *tracer.Config) {
+	c.int(&t.NumBanks)
+	c.int(&t.StoreBufferLines)
+	c.int(&t.LoadBufferLines)
+	c.int(&t.StartRing)
+	c.int(&t.MemWords)
 }
 
-func decTLSConfig(d *dec) tls.Config {
-	return tls.Config{
-		NCPU: d.int(), StoreBufferLines: d.int(), LoadBufferLines: d.int(),
-		Handlers: decHandlers(d), ChaosNoWordValid: d.bool(),
-	}
+func (c *coder) faultPlan(p *faultinject.Plan) {
+	c.i64(&p.Seed)
+	c.f64(&p.RAW)
+	c.f64(&p.Overflow)
+	c.f64(&p.Bus)
+	c.i64(&p.BusDelay)
+	c.f64(&p.Heap)
+	c.f64(&p.JIT)
 }
 
-func encCacheConfig(e *enc, c mem.CacheConfig) {
-	e.int(c.NCPU)
-	e.int(c.L1Lines)
-	e.int(c.L1Assoc)
-	e.int(c.L2Lines)
-	e.int(c.L2Assoc)
-	e.i64(c.LatL1)
-	e.i64(c.LatL2)
-	e.i64(c.LatMem)
-	e.i64(c.LatInter)
+func (c *coder) guardConfig(g *tls.GuardConfig) {
+	c.i64(&g.Window)
+	c.f64(&g.BadViolationRatio)
+	c.f64(&g.BadOverflowRatio)
+	c.int(&g.Decertify)
+	c.i64(&g.Backoff)
+	c.i64(&g.MaxBackoff)
 }
 
-func decCacheConfig(d *dec) mem.CacheConfig {
-	return mem.CacheConfig{
-		NCPU: d.int(), L1Lines: d.int(), L1Assoc: d.int(),
-		L2Lines: d.int(), L2Assoc: d.int(),
-		LatL1: d.i64(), LatL2: d.i64(), LatMem: d.i64(), LatInter: d.i64(),
-	}
-}
+func (c *coder) analyzerConfig(a *analyzer.Config) {
+	c.int(&a.NCPU)
+	c.handlers(&a.Handlers)
+	c.f64(&a.MinItersPerEntry)
+	c.f64(&a.MaxOverflowFreq)
+	c.f64(&a.MinSpeedup)
+	c.f64(&a.SyncDepFreq)
+	c.f64(&a.SyncMaxSpanFrac)
+	c.f64(&a.MultilevelRatio)
+	c.bool(&a.ParallelAlloc)
+	c.bool(&a.ElideLocks)
+	c.f64(&a.HoistMaxIters)
+	c.i64(&a.HoistMinEntries)
+	c.bool(&a.NoInductors)
+	c.bool(&a.NoResetable)
+	c.bool(&a.NoReductions)
+	c.bool(&a.NoSyncLocks)
+	c.bool(&a.NoMultilevel)
+	c.bool(&a.NoHoisting)
 
-func encTracerConfig(e *enc, c tracer.Config) {
-	e.int(c.NumBanks)
-	e.int(c.StoreBufferLines)
-	e.int(c.LoadBufferLines)
-	e.int(c.StartRing)
-	e.int(c.MemWords)
-}
-
-func decTracerConfig(d *dec) tracer.Config {
-	return tracer.Config{
-		NumBanks: d.int(), StoreBufferLines: d.int(), LoadBufferLines: d.int(),
-		StartRing: d.int(), MemWords: d.int(),
-	}
-}
-
-func encFaultPlan(e *enc, p faultinject.Plan) {
-	e.i64(p.Seed)
-	e.f64(p.RAW)
-	e.f64(p.Overflow)
-	e.f64(p.Bus)
-	e.i64(p.BusDelay)
-	e.f64(p.Heap)
-	e.f64(p.JIT)
-}
-
-func decFaultPlan(d *dec) faultinject.Plan {
-	return faultinject.Plan{
-		Seed: d.i64(), RAW: d.f64(), Overflow: d.f64(),
-		Bus: d.f64(), BusDelay: d.i64(), Heap: d.f64(), JIT: d.f64(),
-	}
-}
-
-func encGuardConfig(e *enc, g tls.GuardConfig) {
-	e.i64(g.Window)
-	e.f64(g.BadViolationRatio)
-	e.f64(g.BadOverflowRatio)
-	e.int(g.Decertify)
-	e.i64(g.Backoff)
-	e.i64(g.MaxBackoff)
-}
-
-func decGuardConfig(d *dec) tls.GuardConfig {
-	return tls.GuardConfig{
-		Window: d.i64(), BadViolationRatio: d.f64(), BadOverflowRatio: d.f64(),
-		Decertify: d.int(), Backoff: d.i64(), MaxBackoff: d.i64(),
-	}
-}
-
-func encAnalyzerConfig(e *enc, c analyzer.Config) {
-	e.int(c.NCPU)
-	encHandlers(e, c.Handlers)
-	e.f64(c.MinItersPerEntry)
-	e.f64(c.MaxOverflowFreq)
-	e.f64(c.MinSpeedup)
-	e.f64(c.SyncDepFreq)
-	e.f64(c.SyncMaxSpanFrac)
-	e.f64(c.MultilevelRatio)
-	e.bool(c.ParallelAlloc)
-	e.bool(c.ElideLocks)
-	e.f64(c.HoistMaxIters)
-	e.i64(c.HoistMinEntries)
-	e.bool(c.NoInductors)
-	e.bool(c.NoResetable)
-	e.bool(c.NoReductions)
-	e.bool(c.NoSyncLocks)
-	e.bool(c.NoMultilevel)
-	e.bool(c.NoHoisting)
-	// ExcludeLoops is a set; only members matter, and canonical form emits
-	// the true members sorted.
-	ids := make([]int64, 0, len(c.ExcludeLoops))
-	for id, on := range c.ExcludeLoops {
-		if on {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.i64s(ids)
-}
-
-func decAnalyzerConfig(d *dec) analyzer.Config {
-	c := analyzer.Config{
-		NCPU:             d.int(),
-		Handlers:         decHandlers(d),
-		MinItersPerEntry: d.f64(),
-		MaxOverflowFreq:  d.f64(),
-		MinSpeedup:       d.f64(),
-		SyncDepFreq:      d.f64(),
-		SyncMaxSpanFrac:  d.f64(),
-		MultilevelRatio:  d.f64(),
-		ParallelAlloc:    d.bool(),
-		ElideLocks:       d.bool(),
-		HoistMaxIters:    d.f64(),
-		HoistMinEntries:  d.i64(),
-		NoInductors:      d.bool(),
-		NoResetable:      d.bool(),
-		NoReductions:     d.bool(),
-		NoSyncLocks:      d.bool(),
-		NoMultilevel:     d.bool(),
-		NoHoisting:       d.bool(),
-	}
-	if ids := d.i64s(); len(ids) > 0 {
-		c.ExcludeLoops = make(map[int64]bool, len(ids))
-		for i, id := range ids {
-			if i > 0 && id <= ids[i-1] {
-				d.fail(ErrCorrupt, "exclude-loop set not strictly ascending")
-				return analyzer.Config{}
+	// ExcludeLoops is a set: only its true members travel, ascending, and
+	// decoding requires them strictly ascending.
+	var ids []int64
+	if !c.dec {
+		for id, on := range a.ExcludeLoops {
+			if on {
+				ids = append(ids, id)
 			}
-			c.ExcludeLoops[id] = true
 		}
+		slices.Sort(ids)
 	}
-	return c
+	c.i64s(&ids)
+	if !c.dec || len(ids) == 0 {
+		return
+	}
+	a.ExcludeLoops = make(map[int64]bool, len(ids))
+	for i, id := range ids {
+		if i > 0 && id <= ids[i-1] {
+			c.fail(ErrCorrupt, "exclude-loop set not strictly ascending")
+			return
+		}
+		a.ExcludeLoops[id] = true
+	}
 }

@@ -14,103 +14,14 @@ import (
 //	methods per method: id, name, nargs, nlocals, hasResult, code, handlers
 //	classes per class: id, name, numFields
 func EncodeProgram(p *bytecode.Program) []byte {
-	return envelope(KindProgram, func(e *enc) {
-		var meta enc
-		meta.str(p.Name)
-		meta.int(p.Statics)
-		meta.int(p.Main)
-		e.section(meta.b)
-
-		var ms enc
-		ms.u64(uint64(len(p.Methods)))
-		for _, m := range p.Methods {
-			ms.int(m.ID)
-			ms.str(m.Name)
-			ms.int(m.NArgs)
-			ms.int(m.NLocals)
-			ms.bool(m.HasResult)
-			ms.u64(uint64(len(m.Code)))
-			for _, in := range m.Code {
-				ms.byte(byte(in.Op))
-				ms.i64(in.A)
-				ms.i64(in.B)
-			}
-			ms.u64(uint64(len(m.Handlers)))
-			for _, h := range m.Handlers {
-				ms.int(h.Start)
-				ms.int(h.End)
-				ms.int(h.Target)
-				ms.i64(h.Kind)
-			}
-		}
-		e.section(ms.b)
-
-		var cs enc
-		cs.u64(uint64(len(p.Classes)))
-		for _, c := range p.Classes {
-			cs.int(c.ID)
-			cs.str(c.Name)
-			cs.int(c.NumFields)
-		}
-		e.section(cs.b)
-	})
+	return encode(KindProgram, p, (*coder).program)
 }
 
 // DecodeProgram parses a canonical program encoding. Malformed input
 // returns an error wrapping one of the typed sentinels; it never panics.
 func DecodeProgram(b []byte) (*bytecode.Program, error) {
-	d, err := openEnvelope(b, KindProgram)
-	if err != nil {
-		return nil, err
-	}
 	p := &bytecode.Program{}
-
-	meta := d.section()
-	p.Name = meta.str()
-	p.Statics = meta.int()
-	p.Main = meta.int()
-	if err := meta.finish("program meta"); err != nil {
-		return nil, err
-	}
-
-	ms := d.section()
-	nm := ms.count(6)
-	for i := 0; i < nm && ms.err == nil; i++ {
-		m := &bytecode.Method{}
-		m.ID = ms.int()
-		m.Name = ms.str()
-		m.NArgs = ms.int()
-		m.NLocals = ms.int()
-		m.HasResult = ms.bool()
-		nc := ms.count(3)
-		for k := 0; k < nc && ms.err == nil; k++ {
-			m.Code = append(m.Code, bytecode.Ins{
-				Op: bytecode.Op(ms.byteVal()), A: ms.i64(), B: ms.i64(),
-			})
-		}
-		nh := ms.count(4)
-		for k := 0; k < nh && ms.err == nil; k++ {
-			m.Handlers = append(m.Handlers, bytecode.Handler{
-				Start: ms.int(), End: ms.int(), Target: ms.int(), Kind: ms.i64(),
-			})
-		}
-		p.Methods = append(p.Methods, m)
-	}
-	if err := ms.finish("program methods"); err != nil {
-		return nil, err
-	}
-
-	cs := d.section()
-	ncl := cs.count(3)
-	for i := 0; i < ncl && cs.err == nil; i++ {
-		p.Classes = append(p.Classes, &bytecode.Class{
-			ID: cs.int(), Name: cs.str(), NumFields: cs.int(),
-		})
-	}
-	if err := cs.finish("program classes"); err != nil {
-		return nil, err
-	}
-	if err := d.finish("program"); err != nil {
+	if err := decode(b, KindProgram, p, (*coder).program); err != nil {
 		return nil, err
 	}
 	// Structural floor so a decoded program cannot crash downstream
@@ -126,4 +37,45 @@ func DecodeProgram(b []byte) (*bytecode.Program, error) {
 // encoding has no map-order or pointer-identity dependence.
 func ProgramHash(p *bytecode.Program) Hash {
 	return sha256.Sum256(EncodeProgram(p))
+}
+
+func (c *coder) program(p *bytecode.Program) {
+	s := c.open()
+	c.str(&p.Name)
+	c.int(&p.Statics)
+	c.int(&p.Main)
+	c.close(s, "program meta")
+
+	s = c.open()
+	list(c, &p.Methods, 6, (*coder).method)
+	c.close(s, "program methods")
+
+	s = c.open()
+	list(c, &p.Classes, 3, func(c *coder, pc **bytecode.Class) {
+		cl := ptr(c, pc)
+		c.int(&cl.ID)
+		c.str(&cl.Name)
+		c.int(&cl.NumFields)
+	})
+	c.close(s, "program classes")
+}
+
+func (c *coder) method(pm **bytecode.Method) {
+	m := ptr(c, pm)
+	c.int(&m.ID)
+	c.str(&m.Name)
+	c.int(&m.NArgs)
+	c.int(&m.NLocals)
+	c.bool(&m.HasResult)
+	list(c, &m.Code, 3, func(c *coder, in *bytecode.Ins) {
+		c.byte((*byte)(&in.Op))
+		c.i64(&in.A)
+		c.i64(&in.B)
+	})
+	list(c, &m.Handlers, 4, func(c *coder, h *bytecode.Handler) {
+		c.int(&h.Start)
+		c.int(&h.End)
+		c.int(&h.Target)
+		c.i64(&h.Kind)
+	})
 }

@@ -6,8 +6,10 @@
 // with a SHA-256 content hash over the payload, so a torn or bit-rotted
 // checkpoint file is detected before a restore is attempted (a journal
 // replayed after kill -9 must never resume from a half-written file).
-// Both follow the codec's canonical rules: minimal varints, ascending
-// collections as produced by the capture paths, decode∘encode identity.
+// Both follow the codec's canonical rules: minimal varints, narrowed
+// fields in range, ascending collections as produced by the capture
+// paths, decode∘encode identity. The hash detects torn files, not
+// non-canonical ones: the range and ordering rules reject those.
 package codec
 
 import (
@@ -22,29 +24,19 @@ import (
 	"jrpm/internal/vm"
 )
 
-// Snapshot/checkpoint envelope kinds (3 and below are program/options/result).
-const (
-	KindSnapshot   Kind = 4
-	KindCheckpoint Kind = 5
-)
-
 // checkpointHashSize is the trailing content-hash length of a checkpoint
 // envelope.
 const checkpointHashSize = sha256.Size
 
 // EncodeSnapshot renders a machine snapshot canonically.
 func EncodeSnapshot(s *hydra.MachineSnapshot) []byte {
-	return envelope(KindSnapshot, func(e *enc) { encSnapshot(e, s) })
+	return encode(KindSnapshot, s, (*coder).snapshot)
 }
 
 // DecodeSnapshot parses a snapshot envelope.
 func DecodeSnapshot(b []byte) (*hydra.MachineSnapshot, error) {
-	d, err := openEnvelope(b, KindSnapshot)
-	if err != nil {
-		return nil, err
-	}
-	s := decSnapshot(d)
-	if err := d.finish("snapshot"); err != nil {
+	s := &hydra.MachineSnapshot{}
+	if err := decode(b, KindSnapshot, s, (*coder).snapshot); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -53,13 +45,7 @@ func DecodeSnapshot(b []byte) (*hydra.MachineSnapshot, error) {
 // EncodeCheckpoint renders a pipeline checkpoint canonically, with a
 // trailing SHA-256 content hash over the payload.
 func EncodeCheckpoint(cp *core.Checkpoint) []byte {
-	b := envelope(KindCheckpoint, func(e *enc) {
-		e.str(cp.Name)
-		e.str(cp.Stage)
-		e.str(cp.Label)
-		encSnapshot(e, cp.Machine)
-		encVMState(e, cp.VM)
-	})
+	b := encode(KindCheckpoint, cp, (*coder).checkpoint)
 	sum := sha256.Sum256(b[envelopeHeaderSize:])
 	return append(b, sum[:]...)
 }
@@ -74,372 +60,148 @@ func DecodeCheckpoint(b []byte) (*core.Checkpoint, error) {
 	if sum != [checkpointHashSize]byte(tail) {
 		return nil, fmt.Errorf("%w: checkpoint content hash mismatch", ErrCorrupt)
 	}
-	d, err := openEnvelope(payload, KindCheckpoint)
-	if err != nil {
-		return nil, err
-	}
-	cp := &core.Checkpoint{
-		Name:  d.str(),
-		Stage: d.str(),
-		Label: d.str(),
-	}
-	cp.Machine = decSnapshot(d)
-	cp.VM = decVMState(d)
-	if err := d.finish("checkpoint"); err != nil {
+	cp := &core.Checkpoint{}
+	if err := decode(payload, KindCheckpoint, cp, (*coder).checkpoint); err != nil {
 		return nil, err
 	}
 	return cp, nil
 }
 
-// envelopeHeaderSize is magic + version + kind.
-const envelopeHeaderSize = 6
-
-func encSnapshot(e *enc, s *hydra.MachineSnapshot) {
-	e.u64(s.ImageFP)
-	e.int(s.NCPU)
-	e.i64(s.Clock)
-	e.int(s.Master)
-	e.i64s(s.Output)
-	e.i64(s.GCCycles)
-	e.i64(s.Instructions)
-	e.i64(s.GCRuns)
-	e.u64(uint64(len(s.OverflowBySTL)))
-	for _, o := range s.OverflowBySTL {
-		e.i64(o.LoopID)
-		e.i64(o.Count)
-	}
-	e.i64(s.StormCount)
-	e.i64(s.LastHoisted)
-	e.bool(s.HadCtx)
-	e.i64(s.NextCtxCheck)
-	e.u64(uint64(len(s.CPUs)))
-	for i := range s.CPUs {
-		encCPUSnapshot(e, &s.CPUs[i])
-	}
-	encMemState(e, &s.Mem)
-	encCacheState(e, &s.Caches)
-	encUnitState(e, &s.TLS)
-	e.bool(s.HasGuard)
-	e.u64(uint64(len(s.Guard)))
-	for i := range s.Guard {
-		encGuardLoopState(e, &s.Guard[i])
-	}
-	encTier(e, &s.Tier)
-	e.bool(s.T2 != nil)
-	if s.T2 != nil {
-		encTierCache(e, s.T2)
-	}
+func (c *coder) checkpoint(cp *core.Checkpoint) {
+	c.str(&cp.Name)
+	c.str(&cp.Stage)
+	c.str(&cp.Label)
+	c.snapshot(ptr(c, &cp.Machine))
+	c.vmState(ptr(c, &cp.VM))
 }
 
-func decSnapshot(d *dec) *hydra.MachineSnapshot {
-	s := &hydra.MachineSnapshot{
-		ImageFP:      d.u64(),
-		NCPU:         d.int(),
-		Clock:        d.i64(),
-		Master:       d.int(),
-		Output:       d.i64s(),
-		GCCycles:     d.i64(),
-		Instructions: d.i64(),
-		GCRuns:       d.i64(),
-	}
-	if n := d.count(2); n > 0 {
-		s.OverflowBySTL = make([]hydra.STLCount, n)
-		for i := range s.OverflowBySTL {
-			s.OverflowBySTL[i] = hydra.STLCount{LoopID: d.i64(), Count: d.i64()}
-		}
-	}
-	s.StormCount = d.i64()
-	s.LastHoisted = d.i64()
-	s.HadCtx = d.bool()
-	s.NextCtxCheck = d.i64()
-	if n := d.count(8); n > 0 {
-		s.CPUs = make([]hydra.CPUSnapshot, n)
-		for i := range s.CPUs {
-			decCPUSnapshot(d, &s.CPUs[i])
-		}
-	}
-	decMemState(d, &s.Mem)
-	decCacheState(d, &s.Caches)
-	decUnitState(d, &s.TLS)
-	s.HasGuard = d.bool()
-	if n := d.count(8); n > 0 {
-		s.Guard = make([]tls.GuardLoopState, n)
-		for i := range s.Guard {
-			decGuardLoopState(d, &s.Guard[i])
-		}
-	}
-	decTier(d, &s.Tier)
-	if d.bool() {
-		s.T2 = decTierCache(d)
-	}
-	return s
+func (c *coder) snapshot(s *hydra.MachineSnapshot) {
+	c.u64(&s.ImageFP)
+	c.int(&s.NCPU)
+	c.i64(&s.Clock)
+	c.int(&s.Master)
+	c.i64s(&s.Output)
+	c.i64(&s.GCCycles)
+	c.i64(&s.Instructions)
+	c.i64(&s.GCRuns)
+	list(c, &s.OverflowBySTL, 2, func(c *coder, o *hydra.STLCount) {
+		c.i64(&o.LoopID)
+		c.i64(&o.Count)
+	})
+	c.i64(&s.StormCount)
+	c.i64(&s.LastHoisted)
+	c.bool(&s.HadCtx)
+	c.i64(&s.NextCtxCheck)
+	list(c, &s.CPUs, 8, (*coder).cpu)
+	c.memState(&s.Mem)
+	c.cacheState(&s.Caches)
+	c.unitState(&s.TLS)
+	c.bool(&s.HasGuard)
+	list(c, &s.Guard, 8, (*coder).guardLoopState)
+	c.tier(&s.Tier)
+	optional(c, &s.T2, (*coder).tierCache)
 }
 
-func encCPUSnapshot(e *enc, c *hydra.CPUSnapshot) {
-	for _, r := range c.Regs {
-		e.i64(r)
+// cpu walks exactly isa.NumRegs registers, with no count on the wire.
+func (c *coder) cpu(p *hydra.CPUSnapshot) {
+	for i := range p.Regs {
+		c.i64(&p.Regs[i])
 	}
-	e.int(c.PC)
-	e.int(c.MethodID)
-	e.u64(uint64(len(c.Frames)))
-	for _, f := range c.Frames {
-		e.int(f.RetMethod)
-		e.int(f.RetPC)
-		e.i64(f.SavedFP)
-		e.i64(f.SavedSP)
-	}
-	e.int(c.State)
-	e.i64(c.ReadyAt)
-	e.int(c.SnapDepth)
-	e.i64(c.SnapSP)
-	e.i64(c.SnapFP)
-	e.i64(c.PendingExKind)
-	e.i64(c.PendingExRef)
-	e.i64(c.PendingIO)
-	e.bool(c.OverflowPending)
-	e.int(c.GCAttempts)
-	e.i64(c.Extra)
+	c.int(&p.PC)
+	c.int(&p.MethodID)
+	list(c, &p.Frames, 4, func(c *coder, f *hydra.FrameSnapshot) {
+		c.int(&f.RetMethod)
+		c.int(&f.RetPC)
+		c.i64(&f.SavedFP)
+		c.i64(&f.SavedSP)
+	})
+	c.int(&p.State)
+	c.i64(&p.ReadyAt)
+	c.int(&p.SnapDepth)
+	c.i64(&p.SnapSP)
+	c.i64(&p.SnapFP)
+	c.i64(&p.PendingExKind)
+	c.i64(&p.PendingExRef)
+	c.i64(&p.PendingIO)
+	c.bool(&p.OverflowPending)
+	c.int(&p.GCAttempts)
+	c.i64(&p.Extra)
 }
 
-func decCPUSnapshot(d *dec, c *hydra.CPUSnapshot) {
-	for i := range c.Regs {
-		c.Regs[i] = d.i64()
-	}
-	c.PC = d.int()
-	c.MethodID = d.int()
-	if n := d.count(4); n > 0 {
-		c.Frames = make([]hydra.FrameSnapshot, n)
-		for i := range c.Frames {
-			c.Frames[i] = hydra.FrameSnapshot{
-				RetMethod: d.int(), RetPC: d.int(), SavedFP: d.i64(), SavedSP: d.i64(),
-			}
-		}
-	}
-	c.State = d.int()
-	c.ReadyAt = d.i64()
-	c.SnapDepth = d.int()
-	c.SnapSP = d.i64()
-	c.SnapFP = d.i64()
-	c.PendingExKind = d.i64()
-	c.PendingExRef = d.i64()
-	c.PendingIO = d.i64()
-	c.OverflowPending = d.bool()
-	c.GCAttempts = d.int()
-	c.Extra = d.i64()
-}
-
-func encMemState(e *enc, st *mem.State) {
-	e.int(st.Size)
-	e.u64(uint64(st.Split))
-	e.u64(uint64(st.LoMax))
-	e.u64(uint64(st.HiMin))
-	e.i64s(st.Low)
-	e.i64s(st.High)
-}
-
-func decMemState(d *dec, st *mem.State) {
-	st.Size = d.int()
-	st.Split = mem.Addr(d.u64())
-	st.LoMax = mem.Addr(d.u64())
-	st.HiMin = mem.Addr(d.u64())
-	st.Low = d.i64s()
-	st.High = d.i64s()
-}
-
-func encSetState(e *enc, st *mem.SetState) {
-	e.u64(uint64(len(st.Tags)))
-	for _, t := range st.Tags {
-		e.u64(uint64(t))
-	}
-	e.u64(uint64(len(st.LRU)))
-	for _, v := range st.LRU {
-		e.u64(uint64(v))
-	}
-	e.u64(uint64(st.Clock))
-}
-
-func decSetState(d *dec, st *mem.SetState) {
-	if n := d.count(1); n > 0 {
-		st.Tags = make([]mem.Addr, n)
-		for i := range st.Tags {
-			st.Tags[i] = mem.Addr(d.u64())
-		}
-	}
-	if n := d.count(1); n > 0 {
-		st.LRU = make([]uint32, n)
-		for i := range st.LRU {
-			st.LRU[i] = uint32(d.u64())
-		}
-	}
-	st.Clock = uint32(d.u64())
-}
-
-func encCacheState(e *enc, st *mem.CacheState) {
-	e.u64(uint64(len(st.L1)))
-	for i := range st.L1 {
-		encSetState(e, &st.L1[i])
-	}
-	encSetState(e, &st.L2)
-	e.i64(st.L1Hits)
-	e.i64(st.L1Misses)
-	e.i64(st.L2Hits)
-	e.i64(st.L2Misses)
-}
-
-func decCacheState(d *dec, st *mem.CacheState) {
-	if n := d.count(3); n > 0 {
-		st.L1 = make([]mem.SetState, n)
-		for i := range st.L1 {
-			decSetState(d, &st.L1[i])
-		}
-	}
-	decSetState(d, &st.L2)
-	st.L1Hits = d.i64()
-	st.L1Misses = d.i64()
-	st.L2Hits = d.i64()
-	st.L2Misses = d.i64()
-}
-
-func encUnitState(e *enc, st *tls.UnitState) {
-	e.i64(st.Stats.Serial)
-	e.i64(st.Stats.RunUsed)
-	e.i64(st.Stats.WaitUsed)
-	e.i64(st.Stats.Overhead)
-	e.i64(st.Stats.RunViolated)
-	e.i64(st.Stats.WaitViolated)
-	e.i64(st.Commits)
-	e.i64(st.Violations)
-	e.i64(st.Overflows)
-	e.int(st.MaxStoreLines)
-	e.int(st.MaxLoadLines)
-	e.i64(st.SumStoreLines)
-	e.i64(st.SumLoadLines)
-	e.i64(st.CommittedLoads)
-	e.i64(st.CommittedStores)
-}
-
-func decUnitState(d *dec, st *tls.UnitState) {
-	st.Stats.Serial = d.i64()
-	st.Stats.RunUsed = d.i64()
-	st.Stats.WaitUsed = d.i64()
-	st.Stats.Overhead = d.i64()
-	st.Stats.RunViolated = d.i64()
-	st.Stats.WaitViolated = d.i64()
-	st.Commits = d.i64()
-	st.Violations = d.i64()
-	st.Overflows = d.i64()
-	st.MaxStoreLines = d.int()
-	st.MaxLoadLines = d.int()
-	st.SumStoreLines = d.i64()
-	st.SumLoadLines = d.i64()
-	st.CommittedLoads = d.i64()
-	st.CommittedStores = d.i64()
-}
-
-func encGuardLoopState(e *enc, g *tls.GuardLoopState) {
-	e.i64(g.LoopID)
-	e.i64(g.Stats.Commits)
-	e.i64(g.Stats.Violations)
-	e.i64(g.Stats.Overflows)
-	e.bool(g.Stats.Decertified)
-	e.i64(g.Stats.Decerts)
-	e.i64(g.Stats.Probes)
-	e.i64(g.Stats.Recerts)
-	e.i64(g.WCommits)
-	e.i64(g.WViolations)
-	e.i64(g.WOverflows)
-	e.int(g.BadStreak)
-	e.i64(g.Backoff)
-	e.i64(g.Wait)
-	e.bool(g.Probing)
-}
-
-func decGuardLoopState(d *dec, g *tls.GuardLoopState) {
-	g.LoopID = d.i64()
-	g.Stats.Commits = d.i64()
-	g.Stats.Violations = d.i64()
-	g.Stats.Overflows = d.i64()
-	g.Stats.Decertified = d.bool()
-	g.Stats.Decerts = d.i64()
-	g.Stats.Probes = d.i64()
-	g.Stats.Recerts = d.i64()
-	g.WCommits = d.i64()
-	g.WViolations = d.i64()
-	g.WOverflows = d.i64()
-	g.BadStreak = d.int()
-	g.Backoff = d.i64()
-	g.Wait = d.i64()
-	g.Probing = d.bool()
-}
-
-func encTierCache(e *enc, t *hydra.TierCacheSnapshot) {
-	e.bool(t.Resume)
-	e.i64(int64(t.LastEntry))
-	e.u64(uint64(len(t.Methods)))
-	for i := range t.Methods {
-		m := &t.Methods[i]
-		e.int(m.Method)
-		e.u64(uint64(len(m.Blocks)))
-		for _, b := range m.Blocks {
-			e.i64(int64(b.Entry))
-			e.i64(int64(b.Succ0))
-			e.i64(int64(b.Succ1))
-		}
-	}
-}
-
-func decTierCache(d *dec) *hydra.TierCacheSnapshot {
-	t := &hydra.TierCacheSnapshot{
-		Resume:    d.bool(),
-		LastEntry: int32(d.i64()),
-	}
-	if n := d.count(2); n > 0 {
-		t.Methods = make([]hydra.TierMethodSnapshot, n)
-		for i := range t.Methods {
-			m := &t.Methods[i]
-			m.Method = d.int()
-			if bn := d.count(3); bn > 0 {
-				m.Blocks = make([]hydra.TierBlockSnapshot, bn)
-				for j := range m.Blocks {
-					m.Blocks[j] = hydra.TierBlockSnapshot{
-						Entry: int32(d.i64()), Succ0: int32(d.i64()), Succ1: int32(d.i64()),
-					}
-				}
-			}
-		}
-	}
-	return t
-}
-
-func encVMState(e *enc, st *vm.State) {
-	e.u64(uint64(len(st.Blocks)))
-	for _, b := range st.Blocks {
-		e.u64(uint64(b.Addr))
-		e.i64(b.Words)
-	}
-	e.i64(st.Allocs)
-	e.i64(st.AllocWords)
-	e.i64(st.GCs)
-	e.i64(st.LastLive)
-	e.i64(st.LastFreed)
-}
-
-func decVMState(d *dec) *vm.State {
-	st := &vm.State{}
-	if n := d.count(2); n > 0 {
-		st.Blocks = make([]vm.BlockSpan, n)
-		for i := range st.Blocks {
-			st.Blocks[i] = vm.BlockSpan{Addr: mem.Addr(d.u64()), Words: d.i64()}
-		}
-	}
-	st.Allocs = d.i64()
-	st.AllocWords = d.i64()
-	st.GCs = d.i64()
-	st.LastLive = d.i64()
-	st.LastFreed = d.i64()
-	return st
-}
-
-// CPUSnapshot encodes exactly isa.NumRegs registers with no count on the
-// wire; tie the two at compile time.
+// The register file travels without a count; tie its length to isa.NumRegs
+// at compile time.
 var _ [isa.NumRegs]int64 = hydra.CPUSnapshot{}.Regs
+
+func (c *coder) memState(st *mem.State) {
+	c.int(&st.Size)
+	u32(c, &st.Split)
+	u32(c, &st.LoMax)
+	u32(c, &st.HiMin)
+	c.i64s(&st.Low)
+	c.i64s(&st.High)
+}
+
+func (c *coder) setState(st *mem.SetState) {
+	list(c, &st.Tags, 1, u32[mem.Addr])
+	list(c, &st.LRU, 1, u32[uint32])
+	u32(c, &st.Clock)
+}
+
+func (c *coder) cacheState(st *mem.CacheState) {
+	list(c, &st.L1, 3, (*coder).setState)
+	c.setState(&st.L2)
+	c.i64(&st.L1Hits)
+	c.i64(&st.L1Misses)
+	c.i64(&st.L2Hits)
+	c.i64(&st.L2Misses)
+}
+
+func (c *coder) unitState(st *tls.UnitState) {
+	c.stateStats(&st.Stats)
+	c.i64(&st.Commits)
+	c.i64(&st.Violations)
+	c.i64(&st.Overflows)
+	c.int(&st.MaxStoreLines)
+	c.int(&st.MaxLoadLines)
+	c.i64(&st.SumStoreLines)
+	c.i64(&st.SumLoadLines)
+	c.i64(&st.CommittedLoads)
+	c.i64(&st.CommittedStores)
+}
+
+func (c *coder) guardLoopState(g *tls.GuardLoopState) {
+	c.i64(&g.LoopID)
+	c.guardLoopStats(&g.Stats)
+	c.i64(&g.WCommits)
+	c.i64(&g.WViolations)
+	c.i64(&g.WOverflows)
+	c.int(&g.BadStreak)
+	c.i64(&g.Backoff)
+	c.i64(&g.Wait)
+	c.bool(&g.Probing)
+}
+
+func (c *coder) tierCache(t *hydra.TierCacheSnapshot) {
+	c.bool(&t.Resume)
+	c.i32(&t.LastEntry)
+	list(c, &t.Methods, 2, func(c *coder, m *hydra.TierMethodSnapshot) {
+		c.int(&m.Method)
+		list(c, &m.Blocks, 3, func(c *coder, b *hydra.TierBlockSnapshot) {
+			c.i32(&b.Entry)
+			c.i32(&b.Succ0)
+			c.i32(&b.Succ1)
+		})
+	})
+}
+
+func (c *coder) vmState(st *vm.State) {
+	list(c, &st.Blocks, 2, func(c *coder, b *vm.BlockSpan) {
+		u32(c, &b.Addr)
+		c.i64(&b.Words)
+	})
+	c.i64(&st.Allocs)
+	c.i64(&st.AllocWords)
+	c.i64(&st.GCs)
+	c.i64(&st.LastLive)
+	c.i64(&st.LastFreed)
+}

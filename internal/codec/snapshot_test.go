@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -243,5 +245,74 @@ func TestCheckpointHashRejectsCorruption(t *testing.T) {
 	skew[4] = Version + 1
 	if _, err := DecodeCheckpoint(skew); !typedCodecError(err) {
 		t.Fatalf("version skew: got %v", err)
+	}
+}
+
+// outOfRange is a snapshot or checkpoint encoding whose one narrowed field
+// is rewritten past its type's range.
+type outOfRange struct {
+	name       string
+	checkpoint bool
+	clean      []byte // the encoding before the rewrite
+	wire       []byte
+}
+
+// outOfRangeWires rewrites an L2 tag of 0xABCDEF as 1<<32 | 0xABCDEF
+// (mem.Addr is 32 bits) and a tier-2 LastEntry of 0x2BCDEF1 as
+// 0x2BCDEF1 + 1<<32 (int32), in a snapshot and in a checkpoint. Truncating
+// either value would decode cleanly and re-encode to other bytes. The
+// checkpoints' trailing hash is recomputed: it detects torn files, not
+// non-canonical ones.
+func outOfRangeWires(t testing.TB) []outOfRange {
+	t.Helper()
+	var out []outOfRange
+	for _, f := range []struct {
+		name     string
+		set      func(*hydra.MachineSnapshot)
+		from, to []byte
+	}{
+		{"l2-tag", func(s *hydra.MachineSnapshot) { s.Caches.L2.Tags[1] = 0xABCDEF },
+			binary.AppendUvarint(nil, 0xABCDEF), binary.AppendUvarint(nil, 1<<32|0xABCDEF)},
+		{"tier2-last-entry", func(s *hydra.MachineSnapshot) { s.T2.LastEntry = 0x2BCDEF1 },
+			binary.AppendVarint(nil, 0x2BCDEF1), binary.AppendVarint(nil, 0x2BCDEF1+1<<32)},
+	} {
+		s := syntheticSnapshot()
+		f.set(s)
+		rewrite := func(wire []byte) []byte {
+			if n := bytes.Count(wire, f.from); n != 1 {
+				t.Fatalf("%s: field bytes %x occur %d times, want 1", f.name, f.from, n)
+			}
+			return bytes.Replace(wire, f.from, f.to, 1)
+		}
+		snap := EncodeSnapshot(s)
+		out = append(out, outOfRange{name: "snapshot/" + f.name, clean: snap, wire: rewrite(snap)})
+
+		cp := EncodeCheckpoint(&core.Checkpoint{Name: "range", Stage: core.StageTLS, Machine: s, VM: &vmStateForTest})
+		payload := rewrite(cp[:len(cp)-checkpointHashSize])
+		sum := sha256.Sum256(payload[envelopeHeaderSize:])
+		out = append(out, outOfRange{name: "checkpoint/" + f.name, checkpoint: true, clean: cp, wire: append(payload, sum[:]...)})
+	}
+	return out
+}
+
+// TestNarrowedFieldsRejectOutOfRange: a varint past a narrowed field's
+// range is corrupt input, not a value to truncate, so every accepted
+// snapshot and checkpoint re-encodes to itself.
+func TestNarrowedFieldsRejectOutOfRange(t *testing.T) {
+	for _, in := range outOfRangeWires(t) {
+		decode := func(b []byte) error {
+			if in.checkpoint {
+				_, err := DecodeCheckpoint(b)
+				return err
+			}
+			_, err := DecodeSnapshot(b)
+			return err
+		}
+		if err := decode(in.clean); err != nil {
+			t.Fatalf("%s: in-range encoding: %v", in.name, err)
+		}
+		if err := decode(in.wire); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: out-of-range field decoded with %v, want ErrCorrupt", in.name, err)
+		}
 	}
 }

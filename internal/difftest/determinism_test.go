@@ -2,11 +2,13 @@ package difftest
 
 // Host-side performance work must never perturb simulated behaviour. Two
 // guards enforce that here: rendered reports must be byte-identical run to
-// run (and identical between the sequential and parallel suite harnesses),
+// run (and identical between one in-order suite worker and many),
 // and the hot simulation paths — TLS store-buffer traffic and TEST
 // timestamp recording — must not allocate per access.
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"jrpm/internal/core"
@@ -23,32 +25,37 @@ func renderAll(results []*report.SuiteResult) string {
 		report.Figure10(results) + report.CategorySummary(results)
 }
 
-// TestReportDeterminism renders the full suite twice — once on the
-// sequential harness and once on the parallel one — and requires the two
-// reports to be byte-identical. Any divergence means simulated state leaked
-// across runs (pool reuse, map iteration order, cross-goroutine sharing).
+// TestReportDeterminism renders the full suite twice — once with one
+// worker walking it in order and once fanned out over GOMAXPROCS workers —
+// and requires the two reports to be byte-identical. Any divergence means
+// simulated state leaked across runs (pool reuse, map iteration order,
+// cross-goroutine sharing).
 func TestReportDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite run")
 	}
-	seq, err := report.RunSuite(core.DefaultOptions(), nil)
+	inOrder := func() ([]*report.SuiteResult, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return report.RunSuite(context.Background(), core.DefaultOptions(), nil, nil)
+	}
+	seq, err := inOrder()
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := report.RunSuiteParallel(core.DefaultOptions(), nil)
+	par, err := report.RunSuite(context.Background(), core.DefaultOptions(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := renderAll(seq), renderAll(par)
 	if a != b {
-		t.Fatalf("sequential and parallel suite reports differ:\n--- sequential ---\n%s\n--- parallel ---\n%s", a, b)
+		t.Fatalf("in-order and parallel suite reports differ:\n--- in order ---\n%s\n--- parallel ---\n%s", a, b)
 	}
-	again, err := report.RunSuite(core.DefaultOptions(), nil)
+	again, err := inOrder()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c := renderAll(again); c != a {
-		t.Fatalf("two sequential suite runs rendered different reports")
+		t.Fatalf("two in-order suite runs rendered different reports")
 	}
 }
 

@@ -3,6 +3,7 @@ package report
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -30,9 +31,12 @@ func TestSuiteCallerCancellation(t *testing.T) {
 		name string
 		run  func() ([]*SuiteResult, error)
 	}{
-		{"seq", func() ([]*SuiteResult, error) { return RunSuiteContext(ctx, core.DefaultOptions(), filter) }},
+		{"seq", func() ([]*SuiteResult, error) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			return RunSuite(ctx, core.DefaultOptions(), filter, nil)
+		}},
 		{"parallel", func() ([]*SuiteResult, error) {
-			return RunSuiteParallelContext(ctx, core.DefaultOptions(), filter, nil)
+			return RunSuite(ctx, core.DefaultOptions(), filter, nil)
 		}},
 	} {
 		t.Run(runner.name, func(t *testing.T) {
@@ -65,7 +69,7 @@ func TestSuiteFailFastPropagation(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.MaxCycles = 5_000 // every workload blows the budget almost at once
 	filter := pick("BitOps", "monteCarlo", "db", "jess")
-	results, err := RunSuiteParallelContext(context.Background(), opts, filter, nil)
+	results, err := RunSuite(context.Background(), opts, filter, nil)
 	if err == nil {
 		t.Fatal("suite with an impossible cycle budget must fail")
 	}
@@ -92,15 +96,16 @@ func TestSuiteFailFastPropagation(t *testing.T) {
 	}
 }
 
-// TestSuiteSeqFailFastSkipsRemainder: the sequential runner stops at the
-// first failure and accounts for the unstarted remainder.
+// TestSuiteSeqFailFastSkipsRemainder: one worker walks the suite in order,
+// stops at the first failure and accounts for the unstarted remainder.
 func TestSuiteSeqFailFastSkipsRemainder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real workloads")
 	}
 	opts := core.DefaultOptions()
 	opts.MaxCycles = 5_000
-	results, err := RunSuiteContext(context.Background(), opts, pick("BitOps", "monteCarlo", "db"))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	results, err := RunSuite(context.Background(), opts, pick("BitOps", "monteCarlo", "db"), nil)
 	if err == nil {
 		t.Fatal("suite must fail")
 	}

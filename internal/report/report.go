@@ -139,85 +139,27 @@ func (p *progress) line(idx int, name, phase string) {
 }
 
 // RunSuite executes every workload (optionally filtered by name) through the
-// full pipeline.
-func RunSuite(opts core.Options, filter func(*workloads.Workload) bool) ([]*SuiteResult, error) {
-	return RunSuiteContext(context.Background(), opts, filter)
-}
-
-// RunSuiteContext is RunSuite bounded by ctx: cancellation aborts the
-// in-flight workload on hydra's coarse cycle stride and skips the rest. An
-// aborted run returns the completed prefix plus a *SuiteError labelling the
-// results as partial.
-func RunSuiteContext(ctx context.Context, opts core.Options, filter func(*workloads.Workload) bool) ([]*SuiteResult, error) {
-	return runSuiteSeq(ctx, opts, selectWorkloads(filter), nil)
-}
-
-func runSuiteSeq(ctx context.Context, opts core.Options, selected []*workloads.Workload, pw *progress) ([]*SuiteResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts.Ctx = ctx
-	results := make([]*SuiteResult, len(selected))
-	errs := make([]error, len(selected))
-	for i, w := range selected {
-		if ctx.Err() != nil {
-			pw.line(i, w.Name, "cancelled")
-			continue
-		}
-		results[i], errs[i] = runOne(w, opts, func(phase string) { pw.line(i, w.Name, phase) })
-		if errs[i] != nil {
-			pw.line(i, w.Name, "failed: "+errs[i].Error())
-			break // fail fast: the remaining queue is reported as cancelled
-		}
-		pw.line(i, w.Name, "done")
-	}
-	return suiteOutcome(results, errs, ctx)
-}
-
-func selectWorkloads(filter func(*workloads.Workload) bool) []*workloads.Workload {
+// full pipeline, fanned out across min(GOMAXPROCS, workloads) workers that
+// take the suite in order. Each workload's pipeline is an independent
+// deterministic simulation, so the fan-out changes wall-clock time only: a
+// clean run returns results in suite order, and one worker runs the suite
+// strictly in order. The first failure — or ctx's cancellation — aborts the
+// suite fail-fast: in-flight workloads are cancelled on hydra's coarse
+// cycle stride, queued workloads never start, and the completed prefix
+// comes back labelled partial via *SuiteError.
+//
+// Per-workload progress lines (name, pipeline phase, elapsed time) go to
+// progressW as each worker advances; nil runs silently. Writes are
+// serialized, so any writer (os.Stderr included) is safe, and progress
+// output does not affect results or their order.
+func RunSuite(ctx context.Context, opts core.Options, filter func(*workloads.Workload) bool, progressW io.Writer) ([]*SuiteResult, error) {
 	var selected []*workloads.Workload
 	for _, w := range workloads.All() {
-		if filter != nil && !filter(w) {
-			continue
+		if filter == nil || filter(w) {
+			selected = append(selected, w)
 		}
-		selected = append(selected, w)
 	}
-	return selected
-}
-
-// RunSuiteParallel is RunSuite with the workloads fanned out across
-// GOMAXPROCS worker goroutines. Each workload's pipeline is an independent
-// deterministic simulation, so the fan-out changes wall-clock time only and
-// a clean run returns results in the same order RunSuite produces. A failure
-// aborts the suite fail-fast: in-flight workloads are cancelled on hydra's
-// coarse cycle stride, queued workloads never start, and the completed
-// prefix comes back labelled partial via *SuiteError.
-func RunSuiteParallel(opts core.Options, filter func(*workloads.Workload) bool) ([]*SuiteResult, error) {
-	return RunSuiteParallelProgress(opts, filter, nil)
-}
-
-// RunSuiteParallelProgress is RunSuiteParallel with per-workload progress
-// lines (name, pipeline phase, elapsed time) written to progressW as each
-// worker advances. nil progressW runs silently; writes are serialized, so
-// any writer (os.Stderr included) is safe. Progress output does not affect
-// results or their order.
-func RunSuiteParallelProgress(opts core.Options, filter func(*workloads.Workload) bool, progressW io.Writer) ([]*SuiteResult, error) {
-	return RunSuiteParallelContext(context.Background(), opts, filter, progressW)
-}
-
-// RunSuiteParallelContext is RunSuiteParallelProgress bounded by ctx:
-// caller cancellation — or the first workload failure — cancels every
-// in-flight pipeline and skips the unstarted remainder.
-func RunSuiteParallelContext(ctx context.Context, opts core.Options, filter func(*workloads.Workload) bool, progressW io.Writer) ([]*SuiteResult, error) {
-	selected := selectWorkloads(filter)
 	pw := newProgress(progressW, len(selected))
-	nw := runtime.GOMAXPROCS(0)
-	if nw > len(selected) {
-		nw = len(selected)
-	}
-	if nw <= 1 {
-		return runSuiteSeq(ctx, opts, selected, pw)
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -228,7 +170,7 @@ func RunSuiteParallelContext(ctx context.Context, opts core.Options, filter func
 	errs := make([]error, len(selected))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < nw; i++ {
+	for range min(runtime.GOMAXPROCS(0), len(selected)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -260,12 +202,8 @@ func RunSuiteParallelContext(ctx context.Context, opts core.Options, filter func
 	return suiteOutcome(results, errs, rctx)
 }
 
-// RunOne executes a single workload (and its transformed variant).
-func RunOne(w *workloads.Workload, opts core.Options) (*SuiteResult, error) {
-	return runOne(w, opts, nil)
-}
-
-// runOne is RunOne with an optional phase callback for progress reporting.
+// runOne executes a single workload (and its transformed variant), with an
+// optional phase callback for progress reporting.
 func runOne(w *workloads.Workload, opts core.Options, phase func(string)) (*SuiteResult, error) {
 	note := func(s string) {
 		if phase != nil {

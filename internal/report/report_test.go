@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,9 +14,9 @@ import (
 func suiteSubset(t *testing.T) []*SuiteResult {
 	t.Helper()
 	names := map[string]bool{"FourierTest": true, "monteCarlo": true, "decJpeg": true}
-	results, err := RunSuite(core.DefaultOptions(), func(w *workloads.Workload) bool {
+	results, err := RunSuite(context.Background(), core.DefaultOptions(), func(w *workloads.Workload) bool {
 		return names[w.Name]
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +115,15 @@ func TestCategorySummary(t *testing.T) {
 	}
 }
 
-func TestRunOneHonorsHeapOverride(t *testing.T) {
-	w := workloads.ByName("deltaBlue") // sets HeapWords for GC pressure
-	sr, err := RunOne(w, core.DefaultOptions())
+func TestRunSuiteHonorsHeapOverride(t *testing.T) {
+	// deltaBlue sets HeapWords for GC pressure.
+	results, err := RunSuite(context.Background(), core.DefaultOptions(), func(w *workloads.Workload) bool {
+		return w.Name == "deltaBlue"
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sr := results[0]
 	if sr.Result.TLS.GCRuns == 0 && sr.Result.Seq.GCRuns == 0 {
 		t.Error("deltaBlue's small heap should force collections")
 	}

@@ -12,6 +12,7 @@ import (
 	"jrpm/internal/codec"
 	"jrpm/internal/core"
 	"jrpm/internal/diagnose"
+	"jrpm/internal/faultinject"
 	"jrpm/internal/hydra"
 	"jrpm/internal/obs"
 	"jrpm/internal/tls"
@@ -334,9 +335,10 @@ var (
 	errSliceExpired = errors.New("serve: rung deadline slice expired")
 )
 
-// startRung maps a spec mode to the first rung and whether the ladder may
-// degrade below it.
-func startRung(mode string) (first Rung, pinned bool, err error) {
+// ParseMode maps a spec mode to the first rung and whether the ladder is
+// pinned there (may not degrade below it). The fleet router calls it too,
+// so its cache key names the rung a replica would start at.
+func ParseMode(mode string) (first Rung, pinned bool, err error) {
 	switch mode {
 	case "", "auto":
 		return RungTLS, false, nil
@@ -389,24 +391,12 @@ func degradable(err error) bool {
 // from the sequential run without an active fault plan.
 var errOutputMismatch = errors.New("serve: speculative output diverged from sequential run")
 
-// BuildProgram resolves a spec to its bytecode program and heap sizing —
-// exported so the fleet router can content-address submissions with the
-// exact program a replica would run.
+// BuildProgram resolves a spec to a fresh bytecode program and its heap
+// sizing. A fresh build per attempt keeps attempts independent — no
+// compiled state leaks from a failed speculative attempt into the
+// sequential retry. The fleet router calls it too, so it content-addresses
+// submissions with the exact program a replica would run.
 func BuildProgram(spec JobSpec) (*bytecode.Program, int, error) {
-	return buildProgram(spec)
-}
-
-// ParseMode maps a spec mode string to its starting rung and whether the
-// ladder is pinned there — exported so the fleet router keys its cache by
-// the same rung a replica would start at.
-func ParseMode(mode string) (first Rung, pinned bool, err error) {
-	return startRung(mode)
-}
-
-// buildProgram resolves the spec to a fresh bytecode program. A fresh build
-// per attempt keeps attempts independent — no compiled state leaks from a
-// failed speculative attempt into the sequential retry.
-func buildProgram(spec JobSpec) (*bytecode.Program, int, error) {
 	if spec.Workload != "" {
 		w := workloads.ByName(spec.Workload)
 		if w == nil {
@@ -445,7 +435,7 @@ func (c Config) OptionsFor(spec JobSpec, rung Rung, heapWords int) (core.Options
 	}
 	if rung == RungTLS {
 		if spec.Faults != "" {
-			plan, perr := parseFaults(spec.Faults)
+			plan, perr := faultinject.Parse(spec.Faults)
 			if perr != nil {
 				return core.Options{}, perr
 			}
@@ -489,7 +479,7 @@ func (s *Server) attempt(ctx context.Context, rung Rung, spec JobSpec, ring *obs
 		res, err = spec.testAttempt(rung)
 		return res, false, err
 	}
-	bp, heapWords, err := buildProgram(spec)
+	bp, heapWords, err := BuildProgram(spec)
 	if err != nil {
 		return nil, false, err
 	}
@@ -554,7 +544,7 @@ func (s *Server) runJob(j *job) {
 		s.finishJob(j)
 	}()
 
-	first, pinned, err := startRung(spec.Mode)
+	first, pinned, err := ParseMode(spec.Mode)
 	if err != nil {
 		j.fail(err)
 		return

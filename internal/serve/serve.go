@@ -21,12 +21,14 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -314,11 +316,6 @@ func (s *Server) Start() {
 	}
 }
 
-// parseFaults validates a fault-plan spec.
-func parseFaults(spec string) (faultinject.Plan, error) {
-	return faultinject.Parse(spec)
-}
-
 // breakerKey derives the circuit-breaker key: the workload name, or a hash
 // of the submitted source so resubmissions of the same program share a
 // breaker.
@@ -349,19 +346,19 @@ func (s *Server) validate(spec *JobSpec) error {
 	if (spec.Workload == "") == (spec.Source == "") {
 		return errors.New("serve: exactly one of workload or source must be set")
 	}
-	if _, _, err := startRung(spec.Mode); err != nil {
+	if _, _, err := ParseMode(spec.Mode); err != nil {
 		return err
 	}
 	if spec.NCPU < 0 || spec.NCPU > s.cfg.MaxNCPU {
 		return fmt.Errorf("serve: ncpu %d out of range (1..%d)", spec.NCPU, s.cfg.MaxNCPU)
 	}
 	if spec.Faults != "" {
-		if _, err := parseFaults(spec.Faults); err != nil {
+		if _, err := faultinject.Parse(spec.Faults); err != nil {
 			return err
 		}
 	}
 	if spec.testAttempt == nil {
-		if _, _, err := buildProgram(*spec); err != nil {
+		if _, _, err := BuildProgram(*spec); err != nil {
 			return err // unknown workload or unparsable program
 		}
 	}
@@ -504,7 +501,7 @@ func (s *Server) Jobs() []JobView {
 	for i, j := range out {
 		views[i] = j.snapshot()
 	}
-	sortViews(views)
+	slices.SortFunc(views, func(a, b JobView) int { return cmp.Compare(a.ID, b.ID) })
 	return views
 }
 
@@ -520,7 +517,7 @@ func (s *Server) Breakers() []BreakerStats {
 	for i, b := range bs {
 		out[i] = b.Stats()
 	}
-	sortBreakers(out)
+	slices.SortFunc(out, func(a, b BreakerStats) int { return cmp.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -747,22 +744,4 @@ func (s *Server) forceCancelAll(cause error) int {
 		s.reg.Counter("jrpm_serve_jobs_force_cancelled_total").Add(int64(n))
 	}
 	return n
-}
-
-// sortViews orders job views by id ascending.
-func sortViews(v []JobView) {
-	for i := 1; i < len(v); i++ {
-		for k := i; k > 0 && v[k-1].ID > v[k].ID; k-- {
-			v[k-1], v[k] = v[k], v[k-1]
-		}
-	}
-}
-
-// sortBreakers orders breaker stats by key ascending.
-func sortBreakers(b []BreakerStats) {
-	for i := 1; i < len(b); i++ {
-		for k := i; k > 0 && b[k-1].Key > b[k].Key; k-- {
-			b[k-1], b[k] = b[k], b[k-1]
-		}
-	}
 }
