@@ -126,9 +126,7 @@ func ablation(name string, base core.Options) error {
 	}
 	mkAnalyzer := func(mod func(*analyzer.Config)) core.Options {
 		o := base
-		a := analyzer.DefaultConfig()
-		a.NCPU, a.Handlers = o.NCPU, o.Handlers
-		a.ParallelAlloc, a.ElideLocks = o.VM.ParallelAlloc, o.VM.ElideLocks
+		a := o.AnalyzerConfig()
 		mod(&a)
 		o.Analyzer = &a
 		return o

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"jrpm/internal/analyzer"
@@ -47,7 +48,7 @@ type Options struct {
 	NCPU      int
 	Handlers  tls.HandlerCosts
 	VM        vm.Config
-	Analyzer  *analyzer.Config // nil = defaults matched to NCPU/Handlers
+	Analyzer  *analyzer.Config // nil = defaults matched to the run (AnalyzerConfig)
 	TLS       *tls.Config      // buffer-capacity ablations
 	Cache     *mem.CacheConfig
 	Tracer    *tracer.Config // comparator-bank ablations
@@ -134,6 +135,22 @@ func DefaultOptions() Options {
 		o.Tier2Off = true
 	}
 	return o
+}
+
+// AnalyzerConfig is the decomposition analyzer's configuration for a run
+// with these options: *o.Analyzer when set, else the defaults matched to
+// the run's CPU count, handler costs and VM modifications. Ablations start
+// from it so a variant differs from the full system in one field only.
+func (o Options) AnalyzerConfig() analyzer.Config {
+	if o.Analyzer != nil {
+		return *o.Analyzer
+	}
+	a := analyzer.DefaultConfig()
+	a.NCPU = o.NCPU
+	a.Handlers = o.Handlers
+	a.ParallelAlloc = o.VM.ParallelAlloc
+	a.ElideLocks = o.VM.ElideLocks
+	return a
 }
 
 // ParseTierFlag maps a -tier flag value to Options.Tier2Off. The natural
@@ -393,22 +410,14 @@ func run(bp *bytecode.Program, opts Options, st stage, cp *Checkpoint) (*Result,
 	res.Loops = tr.Loops()
 
 	// Step 3: choose decompositions.
-	acfg := analyzer.DefaultConfig()
-	if opts.Analyzer != nil {
-		acfg = *opts.Analyzer
-	} else {
-		acfg.NCPU = opts.NCPU
-		acfg.Handlers = opts.Handlers
-		acfg.ParallelAlloc = opts.VM.ParallelAlloc
-		acfg.ElideLocks = opts.VM.ElideLocks
-	}
+	acfg := opts.AnalyzerConfig()
 	res.Analysis = analyzer.Select(info, tr.Loops(), prof.Cycles, acfg)
 	// The prediction is in profiled-run cycles; normalize to baseline.
 	if prof.Cycles > 0 {
 		res.PredictedCycles = res.Analysis.PredictedCycles * seq.Cycles / prof.Cycles
 	}
 	if st == stageProfile {
-		res.OutputsMatch = equalOutputs(res.Seq.Output, res.Profile.Output)
+		res.OutputsMatch = slices.Equal(res.Seq.Output, res.Profile.Output)
 		return res, nil
 	}
 	if err := ctxErr(opts.Ctx); err != nil {
@@ -440,7 +449,7 @@ func run(bp *bytecode.Program, opts Options, st stage, cp *Checkpoint) (*Result,
 	// match the clean sequential run exactly.
 	if !faultPlan(opts).Zero() {
 		res.OracleChecked = true
-		if !equalOutputs(seq.Output, spec.Output) || !equalOutputs(seq.Statics, spec.Statics) {
+		if !slices.Equal(seq.Output, spec.Output) || !slices.Equal(seq.Statics, spec.Statics) {
 			return nil, fmt.Errorf("%w: program %s under plan %q (faults fired: %v)",
 				ErrOracleMismatch, bp.Name, faultPlan(opts).String(), spec.FaultsFired)
 		}
@@ -455,8 +464,8 @@ func run(bp *bytecode.Program, opts Options, st stage, cp *Checkpoint) (*Result,
 		}
 	}
 
-	res.OutputsMatch = equalOutputs(res.Seq.Output, res.Profile.Output) &&
-		equalOutputs(res.Seq.Output, res.TLS.Output)
+	res.OutputsMatch = slices.Equal(res.Seq.Output, res.Profile.Output) &&
+		slices.Equal(res.Seq.Output, res.TLS.Output)
 	return res, nil
 }
 
@@ -498,25 +507,13 @@ func adapt(bp *bytecode.Program, info *cfg.ProgramInfo, res *Result,
 		return fmt.Errorf("core: adaptive TLS run: %w", err)
 	}
 	res.RecompileCycles += rep.Cycles // the second recompilation is real cost
-	if equalOutputs(res.Seq.Output, spec.Output) && spec.Cycles < res.TLS.Cycles {
+	if slices.Equal(res.Seq.Output, spec.Output) && spec.Cycles < res.TLS.Cycles {
 		res.TLS = spec
 		res.Analysis = analysis
 		res.Adapted = true
 		res.ExcludedLoops = excluded
 	}
 	return nil
-}
-
-func equalOutputs(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // faultPlan returns the effective fault plan (zero when none configured).

@@ -1,6 +1,6 @@
 package difftest
 
-// Golden Chrome-trace snapshot: one generated workload runs with the flight
+// Golden Chrome-trace snapshot: one pinned program runs with the flight
 // recorder attached and its exported Perfetto JSON is pinned byte-for-byte.
 // The exporter is deterministic (fixed struct field order, sorted map keys,
 // no wall-clock input), so any diff here means either the simulator's event
@@ -15,20 +15,22 @@ import (
 	"path/filepath"
 	"testing"
 
+	"jrpm/internal/bytecode"
 	"jrpm/internal/core"
 	"jrpm/internal/obs"
 )
 
-// traceGoldenSeed picks a generated case that actually speculates (commits
-// observed) so the golden file pins run/wait/violated spans, not an empty
-// timeline.
-const traceGoldenSeed = 11
-
+// TestGoldenChromeTrace runs testdata/golden_trace.jasm, a random program
+// that speculates (commits observed), so the golden file pins
+// run/wait/violated spans, not an empty timeline.
 func TestGoldenChromeTrace(t *testing.T) {
-	cs := Generate(traceGoldenSeed, DefaultConfig())
-	prog, err := cs.Build()
+	src, err := os.ReadFile(filepath.Join("testdata", "golden_trace.jasm"))
 	if err != nil {
-		t.Fatalf("build: %v", err)
+		t.Fatal(err)
+	}
+	prog, err := bytecode.Parse(string(src))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
 	}
 	ring := obs.NewRingMasked(1<<16, obs.MaskDefault)
 	opts := core.DefaultOptions()
@@ -41,7 +43,7 @@ func TestGoldenChromeTrace(t *testing.T) {
 		t.Fatal("speculative output mismatch")
 	}
 	if res.TLS.Commits == 0 {
-		t.Fatalf("seed %d no longer speculates; pick a seed with commits", traceGoldenSeed)
+		t.Fatal("the pinned program no longer speculates; pin one with commits")
 	}
 	if ring.Dropped() != 0 {
 		t.Fatalf("ring overflowed (%d dropped); golden trace must be complete", ring.Dropped())

@@ -3,6 +3,7 @@ package litmus
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"jrpm/internal/mem"
 	"jrpm/internal/tls"
@@ -285,7 +286,7 @@ func (m *machine) step(c int) {
 			m.diverge(CheckStepError, fmt.Sprintf("Shutdown: %v", err), -1)
 			return
 		}
-		if !equalInts(gotKilled, wantKilled) {
+		if !slices.Equal(gotKilled, wantKilled) {
 			m.diverge(CheckKilledSet, fmt.Sprintf("Shutdown killed: unit %v, shadow %v", gotKilled, wantKilled), -1)
 			return
 		}
@@ -347,7 +348,7 @@ func (m *machine) step(c int) {
 			m.diverge(CheckStepError, fmt.Sprintf("Store: %v", err), -1)
 			return
 		}
-		if !equalInts(gotVio, wantVio) {
+		if !slices.Equal(gotVio, wantVio) {
 			m.diverge(CheckViolationSet,
 				fmt.Sprintf("cpu %d iter %d pc %d: St x%d violated: unit %v, shadow %v", c, iter, cs.pc, op.A, gotVio, wantVio),
 				m.relatedStep(op.A, false))
@@ -399,7 +400,7 @@ func (m *machine) step(c int) {
 		gotVio := m.unit.ViolateFrom(iter + 1)
 		wantVio := m.sh.violateFrom(iter + 1)
 		m.record(c, iter, -1, false, false, fmt.Sprintf("VioY viol%v", wantVio))
-		if !equalInts(gotVio, wantVio) {
+		if !slices.Equal(gotVio, wantVio) {
 			m.diverge(CheckViolationSet,
 				fmt.Sprintf("cpu %d iter %d: ViolateFrom(%d): unit %v, shadow %v", c, iter, iter+1, gotVio, wantVio), -1)
 			return
@@ -416,7 +417,7 @@ func (m *machine) step(c int) {
 			m.diverge(CheckStepError, fmt.Sprintf("DemoteSolo: %v", err), -1)
 			return
 		}
-		if !equalInts(gotKilled, wantKilled) {
+		if !slices.Equal(gotKilled, wantKilled) {
 			m.diverge(CheckKilledSet, fmt.Sprintf("DemoteSolo killed: unit %v, shadow %v", gotKilled, wantKilled), -1)
 			return
 		}
@@ -438,7 +439,7 @@ func (m *machine) step(c int) {
 		gotKilled := m.unit.KillYounger(c)
 		wantKilled := m.sh.killYounger(c)
 		m.record(c, iter, -1, false, true, fmt.Sprintf("Switch kill%v", wantKilled))
-		if !equalInts(gotKilled, wantKilled) {
+		if !slices.Equal(gotKilled, wantKilled) {
 			m.diverge(CheckKilledSet, fmt.Sprintf("Switch killed: unit %v, shadow %v", gotKilled, wantKilled), -1)
 			return
 		}
@@ -465,7 +466,7 @@ func (m *machine) step(c int) {
 			m.diverge(CheckStepError, fmt.Sprintf("Stop/Shutdown: %v", err), -1)
 			return
 		}
-		if !equalInts(gotKilled, wantKilled) {
+		if !slices.Equal(gotKilled, wantKilled) {
 			m.diverge(CheckKilledSet, fmt.Sprintf("Stop killed: unit %v, shadow %v", gotKilled, wantKilled), -1)
 			return
 		}
@@ -558,7 +559,7 @@ func (m *machine) finish() {
 		return
 	}
 	seq := runSeq(m.t)
-	if !equalInt64s(m.committed, seq.committed) {
+	if !slices.Equal(m.committed, seq.committed) {
 		m.diverge(CheckCommitted, fmt.Sprintf("committed iterations: tls %v, sequential %v", m.committed, seq.committed), -1)
 		return
 	}
@@ -642,28 +643,4 @@ func (m *machine) counterexample(schedule []int) *Counterexample {
 		Schedule: append([]int(nil), schedule...),
 		Timeline: renderTimeline(m.t, m.trace, m.div),
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalInt64s(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

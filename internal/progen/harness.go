@@ -32,6 +32,7 @@ package progen
 
 import (
 	"fmt"
+	"slices"
 
 	"jrpm/internal/core"
 	"jrpm/internal/faultinject"
@@ -117,19 +118,19 @@ func Check(p *Prog, cc CheckConfig) *Verdict {
 	}
 
 	// Leg 2: oracle vs sequential VM, then sequential vs profiled vs TLS.
-	if !v.check("seq-vs-oracle", equal64(want, res.Seq.Output),
+	if !v.check("seq-vs-oracle", slices.Equal(want, res.Seq.Output),
 		"oracle %v != seq %v", head(want), head(res.Seq.Output)) {
 		return v
 	}
-	if !v.check("seq-vs-profile", equal64(res.Seq.Output, res.Profile.Output),
+	if !v.check("seq-vs-profile", slices.Equal(res.Seq.Output, res.Profile.Output),
 		"seq %v != profile %v", head(res.Seq.Output), head(res.Profile.Output)) {
 		return v
 	}
-	if !v.check("seq-vs-tls", equal64(res.Seq.Output, res.TLS.Output),
+	if !v.check("seq-vs-tls", slices.Equal(res.Seq.Output, res.TLS.Output),
 		"seq %v != tls %v", head(res.Seq.Output), head(res.TLS.Output)) {
 		return v
 	}
-	if !v.check("statics", equal64(res.Seq.Statics, res.TLS.Statics),
+	if !v.check("statics", slices.Equal(res.Seq.Statics, res.TLS.Statics),
 		"seq statics %v != tls statics %v", res.Seq.Statics, res.TLS.Statics) {
 		return v
 	}
@@ -148,8 +149,8 @@ func Check(p *Prog, cc CheckConfig) *Verdict {
 			return v.fail("rerun", "second run failed: %v", err)
 		}
 		ok := v.check("rerun-determinism",
-			equal64(res.TLS.Output, res2.TLS.Output) &&
-				equal64(res.TLS.Statics, res2.TLS.Statics) &&
+			slices.Equal(res.TLS.Output, res2.TLS.Output) &&
+				slices.Equal(res.TLS.Statics, res2.TLS.Statics) &&
 				res.TLS.Cycles == res2.TLS.Cycles &&
 				res.TLS.Commits == res2.TLS.Commits &&
 				res.TLS.Violations == res2.TLS.Violations &&
@@ -172,7 +173,7 @@ func Check(p *Prog, cc CheckConfig) *Verdict {
 		if err != nil {
 			return v.fail("faults-oracle", "faulted run: %v", err)
 		}
-		if !v.check("faults-output", equal64(res.Seq.Output, fres.TLS.Output),
+		if !v.check("faults-output", slices.Equal(res.Seq.Output, fres.TLS.Output),
 			"seq %v != faulted tls %v", head(res.Seq.Output), head(fres.TLS.Output)) {
 			return v
 		}
@@ -187,8 +188,8 @@ func Check(p *Prog, cc CheckConfig) *Verdict {
 		if err != nil {
 			return v.fail("solo-guard", "guarded run failed: %v", err)
 		}
-		if !v.check("solo-guard", equal64(res.Seq.Output, sres.TLS.Output) &&
-			equal64(res.Seq.Statics, sres.TLS.Statics),
+		if !v.check("solo-guard", slices.Equal(res.Seq.Output, sres.TLS.Output) &&
+			slices.Equal(res.Seq.Statics, sres.TLS.Statics),
 			"seq %v != solo %v", head(res.Seq.Output), head(sres.TLS.Output)) {
 			return v
 		}
@@ -271,18 +272,6 @@ func invariants(v *Verdict, ph *core.Phase, ncpu int) bool {
 	// Note violated work does NOT imply Violations > 0: an STL that exits
 	// early (break) squashes its younger in-flight iterations, discarding
 	// their cycles without a violation event — so no such check here.
-	return true
-}
-
-func equal64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
 	return true
 }
 

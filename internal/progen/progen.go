@@ -5,7 +5,6 @@
 // array and static accesses, helper calls, early exits, reductions,
 // synchronized blocks and exception handlers.
 //
-// Unlike internal/difftest (which generates straight into the frontend AST),
 // progen keeps every generated program as an explicit, serializable tree
 // (Prog). That representation is what makes the rest of the suite possible:
 //

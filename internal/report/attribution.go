@@ -76,11 +76,7 @@ func Attribute(w *workloads.Workload, opts core.Options) (*Attribution, error) {
 	}
 	analyzerMod := func(mod func(*analyzer.Config)) func(*core.Options) {
 		return func(o *core.Options) {
-			a := analyzer.DefaultConfig()
-			a.NCPU = o.NCPU
-			a.Handlers = o.Handlers
-			a.ParallelAlloc = o.VM.ParallelAlloc
-			a.ElideLocks = o.VM.ElideLocks
+			a := o.AnalyzerConfig()
 			mod(&a)
 			o.Analyzer = &a
 		}

@@ -57,11 +57,6 @@ type Config struct {
 	// MaxCycles is the default simulated-cycle budget per run (default
 	// 2e9); a job may request less but never more.
 	MaxCycles int64
-	// MaxNCPU caps the simulated CPUs a job may request (default 8).
-	MaxNCPU int
-	// TraceCapacity is the flight-recorder ring capacity for jobs that
-	// request a trace (default 1<<18 events).
-	TraceCapacity int
 	// MaxFinished bounds how many terminal jobs are retained for
 	// inspection; the oldest are evicted first (default 1024).
 	MaxFinished int
@@ -81,6 +76,14 @@ type Config struct {
 	CheckpointEvery time.Duration
 }
 
+const (
+	// maxNCPU caps the simulated CPUs a job may request.
+	maxNCPU = 8
+	// traceCapacity is the flight-recorder ring capacity, in events, for
+	// jobs that request a trace.
+	traceCapacity = 1 << 18
+)
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -96,12 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxCycles <= 0 {
 		c.MaxCycles = 2_000_000_000
-	}
-	if c.MaxNCPU <= 0 {
-		c.MaxNCPU = 8
-	}
-	if c.TraceCapacity <= 0 {
-		c.TraceCapacity = 1 << 18
 	}
 	if c.MaxFinished <= 0 {
 		c.MaxFinished = 1024
@@ -349,8 +346,8 @@ func (s *Server) validate(spec *JobSpec) error {
 	if _, _, err := ParseMode(spec.Mode); err != nil {
 		return err
 	}
-	if spec.NCPU < 0 || spec.NCPU > s.cfg.MaxNCPU {
-		return fmt.Errorf("serve: ncpu %d out of range (1..%d)", spec.NCPU, s.cfg.MaxNCPU)
+	if spec.NCPU < 0 || spec.NCPU > maxNCPU {
+		return fmt.Errorf("serve: ncpu %d out of range (1..%d)", spec.NCPU, maxNCPU)
 	}
 	if spec.Faults != "" {
 		if _, err := faultinject.Parse(spec.Faults); err != nil {
@@ -399,7 +396,7 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 		bkey: key,
 	}
 	if spec.Trace {
-		j.ring = obs.NewRingMasked(s.cfg.TraceCapacity, obs.MaskDefault)
+		j.ring = obs.NewRingMasked(traceCapacity, obs.MaskDefault)
 	}
 	now := time.Now()
 	j.deadline = now.Add(time.Duration(spec.DeadlineMS) * time.Millisecond)
