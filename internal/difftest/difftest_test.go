@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jrpm/internal/bytecode"
+	"jrpm/internal/codec"
 	"jrpm/internal/core"
 	"jrpm/internal/faultinject"
 	fe "jrpm/internal/frontend"
@@ -119,6 +120,49 @@ func TestDifferentialSuite(t *testing.T) {
 				sh.run(t, s)
 			}
 		})
+	}
+}
+
+// TestGeneratorDeterminism checks that the table's programs are
+// reproducible. For each shape's first seed, and for each hand-built
+// program, building twice gives the same bytecode and the same oracle
+// output. A failure message names a seed, and that seed must rebuild the
+// same program when the test is rerun.
+func TestGeneratorDeterminism(t *testing.T) {
+	build := func(seed int64) subject {
+		tree := progen.Generate(seed, progen.DefaultConfig())
+		fp, bp, err := progen.Lower(tree)
+		if err != nil {
+			t.Fatalf("seed %d: lowering: %v", seed, err)
+		}
+		return subject{fmt.Sprintf("seed %d", seed), seed, tree, fp, bp}
+	}
+	var pairs [][2]subject
+	for _, sh := range shapes {
+		pairs = append(pairs, [2]subject{build(sh.first), build(sh.first)})
+	}
+	a, b := handBuilt(), handBuilt()
+	for i := range a {
+		pairs = append(pairs, [2]subject{a[i], b[i]})
+	}
+	for _, p := range pairs {
+		if codec.ProgramHash(p[0].bp) != codec.ProgramHash(p[1].bp) {
+			t.Errorf("%s: two builds gave different bytecode", p[0].name)
+		}
+		wa, err := p[0].fp.Interpret(50_000_000)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", p[0].name, err)
+		}
+		wb, err := p[1].fp.Interpret(50_000_000)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", p[1].name, err)
+		}
+		if !slices.Equal(wa, wb) {
+			t.Errorf("%s: two builds gave different oracle output", p[0].name)
+		}
+	}
+	if codec.ProgramHash(build(1).bp) == codec.ProgramHash(build(2).bp) {
+		t.Error("seeds 1 and 2 built identical programs")
 	}
 }
 
